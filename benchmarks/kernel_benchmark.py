@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
-"""Compare the compiled gate-application kernel against the pure-NumPy
-fallback on random circuits of growing width.
+"""Time the gate-application kernel.
+
+For the active backend, prints the time per amplitude of one gate from each
+update class of the numpy kernel: u1 (diagonal), cx (anti-diagonal, one
+control) and h (dense), each applied to every target in turn, at
+n = 4, 8, ..., max-qubits. When the compiled kernel is built, also compares
+the two backends on random circuits of growing width.
 
 Usage: python3 benchmarks/kernel_benchmark.py [--max-qubits N] [--gates M] [--repeats R]
 """
@@ -9,10 +14,43 @@ from __future__ import annotations
 import argparse
 import time
 
+import numpy as np
+
 from stimcheck import kernels
+from stimcheck.circuit import Gate, GateKind
 from stimcheck.library import random_circuit
 from stimcheck.simulator import simulate, zero_state
 from stimcheck.stimuli import RandomSource
+
+# one gate per update class, as a function of (target, num_qubits)
+CLASS_GATES = {
+    "u1": lambda t, n: Gate(GateKind.PHASE, t, params=(0.3,)),
+    "cx": lambda t, n: Gate(GateKind.X, t, controls=((t + 1) % n,)),
+    "h": lambda t, n: Gate(GateKind.H, t),
+}
+
+
+def ns_per_amp(gate_class: str, num_qubits: int, repeats: int) -> float:
+    """Best-of-`repeats` kernel time per gate, averaged over all targets,
+    divided by the 2^n amplitudes of the state."""
+    rng = np.random.default_rng(num_qubits)
+    amps = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
+    amps /= np.linalg.norm(amps)
+    calls = []
+    for target in range(num_qubits):
+        gate = CLASS_GATES[gate_class](target, num_qubits)
+        m = gate.matrix()
+        mask = sum(1 << c for c in gate.controls)
+        calls.append((target, mask, m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
+    loops = max(1, (1 << 16) >> num_qubits)  # keep each sample well above timer resolution
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(loops):
+            for args in calls:
+                kernels.apply_2x2(amps, num_qubits, *args)
+        best = min(best, (time.perf_counter() - start) / (loops * len(calls)))
+    return best / amps.size * 1e9
 
 
 def time_backend(name: str, num_qubits: int, num_gates: int, repeats: int) -> float:
@@ -35,13 +73,17 @@ def main() -> None:
     args = parser.parse_args()
 
     backends = kernels.available_backends()
-    print(f"available backends: {', '.join(backends)}")
-    if "cython" not in backends:
-        print("compiled kernel not built; nothing to compare")
-        return
+    print(f"active backend: {kernels.backend_name()} (available: {', '.join(backends)})")
+    print("ns per amplitude, mean over targets:")
+    print(f"{'qubits':>6} " + " ".join(f"{name:>8}" for name in CLASS_GATES))
+    for n in range(4, args.max_qubits + 1, 4):
+        row = [ns_per_amp(name, n, args.repeats) for name in CLASS_GATES]
+        print(f"{n:>6} " + " ".join(f"{value:>8.2f}" for value in row))
 
+    if "cython" not in backends:
+        return
     active = kernels.backend_name()
-    print(f"{'qubits':>6} {'python (s)':>12} {'cython (s)':>12} {'speedup':>8}")
+    print(f"\n{'qubits':>6} {'python (s)':>12} {'cython (s)':>12} {'speedup':>8}")
     try:
         for n in range(4, args.max_qubits + 1, 2):
             t_py = time_backend("python", n, args.gates, args.repeats)

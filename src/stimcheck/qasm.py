@@ -200,14 +200,19 @@ class _Parser:
         return index
 
     def parse_angle(self) -> float:
+        start = self.peek()
         value = self.parse_factor()
         while self.peek().text in ("*", "/"):
             op = self.advance().text
             rhs = self.parse_factor()
             if op == "*":
                 value *= rhs
+            elif rhs == 0:
+                self.fail("division by zero in angle", start)
             else:
                 value /= rhs
+        if not math.isfinite(value):
+            self.fail("angle is not a finite number", start)
         return value
 
     def parse_factor(self) -> float:
@@ -218,7 +223,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return sign * float(tok.text)
+            value = float(tok.text)
+            if not math.isfinite(value):
+                self.fail(f"number {tok.text} is out of range", tok)
+            return sign * value
         if tok.kind == "name" and tok.text == "pi":
             self.advance()
             return sign * math.pi

@@ -55,6 +55,16 @@ class TestVerify:
         assert code == EXIT_ERROR
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("angle", ["pi/0", "1e999", "1e200*1e200"])
+    def test_non_finite_angle_exits_two(self, ghz_file, tmp_path, capsys, angle):
+        bad = tmp_path / "bad.qasm"
+        bad.write_text(f"OPENQASM 2.0;\nqreg q[3];\nrx({angle}) q[0];\n")
+        code = main(["verify", ghz_file, str(bad)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: 3:4: ")
+        assert "Traceback" not in err
+
     def test_scheme_flags(self, ghz_file, capsys):
         code = main(["verify", ghz_file, ghz_file, "--scheme", "classical",
                      "--max-stimuli", "2", "--seed", "7"])

@@ -73,6 +73,31 @@ def test_angle_expressions(expr, value):
     assert circuit.gates[0].params == (value,)
 
 
+@pytest.mark.parametrize("expr,message", [
+    ("pi/0", "division by zero"),
+    ("0/0", "division by zero"),
+    ("1e999", "out of range"),
+    ("1e200*1e200", "not a finite number"),
+    ("-1e200*1e200", "not a finite number"),
+    ("1e200*1e200*0", "not a finite number"),
+])
+def test_non_finite_angle_is_a_diagnostic(expr, message):
+    with pytest.raises(QasmError) as exc:
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrx({expr}) q[0];")
+    diag = exc.value.diagnostic
+    assert (diag.line, diag.column) == (3, 4)
+    assert message in diag.message
+
+
+def test_overflowing_literal_points_at_the_literal():
+    text = "OPENQASM 2.0; qreg q[1]; rz(1/1e999) q[0];"
+    with pytest.raises(QasmError) as exc:
+        parse_qasm(text)
+    diag = exc.value.diagnostic
+    assert (diag.line, diag.column) == (1, text.index("1e999") + 1)
+    assert "1e999" in diag.message
+
+
 def test_angle_expression_rejects_plus():
     with pytest.raises(QasmError):
         parse_qasm("OPENQASM 2.0; qreg q[1]; rz(1+1) q[0];")

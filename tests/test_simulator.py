@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from stimcheck import kernels
 from stimcheck.circuit import Circuit, Gate, GateKind
 from stimcheck.library import random_circuit
-from stimcheck.oracle import build_unitary
+from stimcheck.oracle import build_unitary, gate_unitary
 from stimcheck.simulator import (
     StateVector,
     apply_gate,
@@ -133,6 +134,40 @@ def test_simulator_matches_oracle_unitary():
         initial = simulate(random_circuit(n, 10, RandomSource(1000 + k)), zero_state(n))
         out = simulate(circuit, initial)
         np.testing.assert_allclose(out.amplitudes, unitary @ initial.amplitudes, atol=1e-10)
+
+
+# Every gate kind, plus matrices whose exact zeros select the kernel's
+# diagonal (rx(0), u3(0, phi, lam)) or anti-diagonal (y) update with entries
+# other than 1.
+KERNEL_CASES = [
+    *((kind, ()) for kind in GateKind if kind.num_params == 0),
+    (GateKind.RX, (0.7,)),
+    (GateKind.RX, (0.0,)),
+    (GateKind.RY, (0.7,)),
+    (GateKind.RZ, (0.7,)),
+    (GateKind.PHASE, (0.7,)),
+    (GateKind.U3, (0.3, 0.2, 0.1)),
+    (GateKind.U3, (0.0, 0.2, 0.1)),
+]
+
+
+@pytest.mark.parametrize("kind,params", KERNEL_CASES,
+                         ids=["-".join([k.value, *map(str, p)]) for k, p in KERNEL_CASES])
+def test_apply_gate_matches_oracle_for_every_target_and_control_set(kind, params):
+    n = 4
+    rng = np.random.default_rng(2024)
+    state = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    state /= np.linalg.norm(state)
+    # every target with every control set: none, one below or above it, two
+    # both below, both above or on either side of it, and all other qubits
+    for target in range(n):
+        others = [q for q in range(n) if q != target]
+        for k in range(n):
+            for controls in itertools.combinations(others, k):
+                gate = Gate(kind, target, controls, params)
+                out = apply_gate(StateVector(n, state.copy()), gate)
+                np.testing.assert_allclose(out.amplitudes, gate_unitary(gate, n) @ state,
+                                           atol=1e-12, err_msg=str(gate))
 
 
 def test_unknown_backend_rejected():
