@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Time the gate-application kernel.
+"""Time the gate-application kernel and whole-circuit simulation.
 
 For the active backend, prints the time per amplitude of one gate from each
 update class of the numpy kernel: u1 (diagonal), cx (anti-diagonal, one
 control) and h (dense), each applied to every target in turn, at
-n = 4, 8, ..., max-qubits. When the compiled kernel is built, also compares
-the two backends on random circuits of growing width.
+n = 4, 8, ..., max-qubits. Then, for qft(16) and one global stimulus at
+n = 16, prints the gate count, the kernel-op count after single-qubit runs
+are fused, and the best time per `simulate`. When the compiled kernel is
+built, also compares the two backends on random circuits of growing width.
 
 Usage: python3 benchmarks/kernel_benchmark.py [--max-qubits N] [--gates M] [--repeats R]
 """
@@ -18,9 +20,9 @@ import numpy as np
 
 from stimcheck import kernels
 from stimcheck.circuit import Gate, GateKind
-from stimcheck.library import random_circuit
-from stimcheck.simulator import simulate, zero_state
-from stimcheck.stimuli import RandomSource
+from stimcheck.library import qft, random_circuit
+from stimcheck.simulator import compile_ops, simulate, zero_state
+from stimcheck.stimuli import RandomSource, gen_global
 
 # one gate per update class, as a function of (target, num_qubits)
 CLASS_GATES = {
@@ -53,16 +55,20 @@ def ns_per_amp(gate_class: str, num_qubits: int, repeats: int) -> float:
     return best / amps.size * 1e9
 
 
+def simulate_ms(circuit, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        simulate(circuit, zero_state(circuit.num_qubits))
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
 def time_backend(name: str, num_qubits: int, num_gates: int, repeats: int) -> float:
     circuit = random_circuit(num_qubits, num_gates, RandomSource(1234, num_qubits),
                              with_rotations=True, with_toffoli=True)
     kernels.use_backend(name)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        simulate(circuit, zero_state(num_qubits))
-        best = min(best, time.perf_counter() - start)
-    return best
+    return simulate_ms(circuit, repeats) / 1e3
 
 
 def main() -> None:
@@ -79,6 +85,12 @@ def main() -> None:
     for n in range(4, args.max_qubits + 1, 4):
         row = [ns_per_amp(name, n, args.repeats) for name in CLASS_GATES]
         print(f"{n:>6} " + " ".join(f"{value:>8.2f}" for value in row))
+
+    print(f"\n{'circuit':>16} {'gates':>6} {'ops':>6} {'ms/simulate':>12}")
+    for label, circuit in (("qft(16)", qft(16)),
+                           ("global n=16", gen_global(16, 16, RandomSource(16)).prep)):
+        print(f"{label:>16} {circuit.gate_count:>6} {len(compile_ops(circuit)):>6} "
+              f"{simulate_ms(circuit, args.repeats):>12.1f}")
 
     if "cython" not in backends:
         return

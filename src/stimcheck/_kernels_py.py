@@ -1,7 +1,41 @@
-"""Pure-numpy gate-application kernel, used when the compiled extension is absent."""
+"""Pure-numpy gate-application kernel, used when the compiled extension is absent.
+
+The anti-diagonal and dense updates write their temporaries into a pair of
+half-state scratch buffers instead of allocating per gate. Each thread has
+its own pair, grown on demand and kept, so it holds one state's worth of
+memory for the largest n that thread simulated. Views of the pair are cached
+per half shape, because at small n building them costs as much as the update.
+"""
 from __future__ import annotations
 
+import threading
+
 import numpy as np
+
+
+class _Scratch(threading.local):
+    def __init__(self):
+        self.buffer = np.empty(0, dtype=complex)
+        # half shape -> the buffer's two halves viewed in that shape
+        self.views: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+
+
+_scratch = _Scratch()
+
+
+def _scratch_like(x):
+    """Two non-overlapping scratch arrays of `x`'s shape."""
+    scratch = _scratch
+    views = scratch.views.get(x.shape)
+    if views is None:
+        size = x.size
+        if scratch.buffer.size < 2 * size:
+            scratch.buffer = np.empty(2 * size, dtype=complex)
+            scratch.views.clear()
+        buffer = scratch.buffer
+        views = buffer[:size].reshape(x.shape), buffer[size:2 * size].reshape(x.shape)
+        scratch.views[x.shape] = views
+    return views
 
 
 def _halves(amps, num_qubits, target, control_mask):
@@ -14,20 +48,17 @@ def _halves(amps, num_qubits, target, control_mask):
     view = amps.reshape((2,) * n)
     # axis of qubit q in the reshaped tensor is n - 1 - q
     index = [slice(None)] * n
-    removed_before_target = 0
-    q = 0
     mask = control_mask
     while mask:
-        if mask & 1:
-            index[n - 1 - q] = 1
-            if q > target:
-                removed_before_target += 1
-        mask >>= 1
-        q += 1
-    t_axis = (n - 1 - target) - removed_before_target
-    sub = np.moveaxis(view[tuple(index)], t_axis, 0)
-    # `...` keeps a view even when every other qubit is a control
-    return sub[0, ...], sub[1, ...]
+        low = mask & -mask
+        index[n - low.bit_length()] = 1
+        mask ^= low
+    t_axis = n - 1 - target
+    # the trailing `...` keeps a view even when every other qubit is a control
+    index[t_axis] = 0
+    x0 = view[(*index, ...)]
+    index[t_axis] = 1
+    return x0, view[(*index, ...)]
 
 
 def apply_2x2(amps, num_qubits, target, control_mask, m00, m01, m10, m11):
@@ -44,17 +75,19 @@ def apply_2x2(amps, num_qubits, target, control_mask, m00, m01, m10, m11):
         if m11 != 1:
             x1 *= m11
     elif m00 == 0 and m11 == 0:
-        scratch = x0 * m10
+        s0, _ = _scratch_like(x0)
+        np.multiply(x0, m10, out=s0)
         # A ufunc with `out` resolves the halves' interleaved overlap exactly;
         # `x0[...] = x1` would copy x1 to a temporary first.
         np.multiply(x1, m01, out=x0)
-        x1[...] = scratch
+        x1[...] = s0
     else:
-        scratch = x0 * m10
+        s0, s1 = _scratch_like(x0)
+        np.multiply(x0, m10, out=s0)
         x0 *= m00
-        x0 += x1 * m01
+        x0 += np.multiply(x1, m01, out=s1)
         x1 *= m11
-        x1 += scratch
+        x1 += s0
 
 
 BACKEND = "python"

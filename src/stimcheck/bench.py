@@ -17,14 +17,13 @@ import csv
 import math
 import statistics
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .circuit import Circuit
 from .equivalence import Verdict, VerificationConfig, verify
 from .mutation import ErrorOption, MutationError, is_functional_mutation, mutate
-from .qasm import parse_qasm
+from .qasm import load_circuit
 from .stimuli import RandomSource, Scheme
 
 CSV_HEADER = [
@@ -75,10 +74,6 @@ class BenchmarkRow:
             f"{self.avg_time:.6f}", f"{self.avg_time_std:.6f}",
             self.total, self.skipped, self.equiv_filtered,
         ]
-
-
-def _scheme_label(scheme: Scheme) -> str:
-    return scheme.kind
 
 
 def _derived_seed(*entropy: int) -> int:
@@ -143,7 +138,7 @@ def run_benchmark_circuits(
                 rows.append(BenchmarkRow(
                     circuit=circuit.name or f"circuit_{ci}",
                     num_qubits=circuit.num_qubits,
-                    scheme=_scheme_label(scheme),
+                    scheme=scheme.kind,
                     error_option=option.label,
                     p_s=100.0 * p_s if detected_flags else 0.0,
                     p_s_std=100.0 * p_s_std if detected_flags else 0.0,
@@ -161,10 +156,7 @@ def run_benchmark_circuits(
 
 
 def run_benchmark(config: BenchmarkConfig) -> list[BenchmarkRow]:
-    circuits = []
-    for path in config.circuit_paths:
-        circuit = parse_qasm(Path(path).read_text())
-        circuits.append(Circuit(circuit.num_qubits, circuit.gates, name=Path(path).stem))
+    circuits = [load_circuit(path) for path in config.circuit_paths]
     return run_benchmark_circuits(circuits, config)
 
 

@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from .bench import BenchmarkConfig, run_benchmark, write_csv
-from .circuit import Circuit
 from .equivalence import Verdict, VerificationConfig, verify
 from .library import ghz, qft, random_circuit
 from .mutation import ErrorOption, MutationError, mutate
@@ -24,7 +23,7 @@ from .oracle import (
     ent_fidelity_via_omega,
     mean_local_fidelity,
 )
-from .qasm import QasmError, emit_qasm, parse_qasm
+from .qasm import QasmError, emit_qasm, load_circuit
 from .stimuli import CLASSICAL, LOCAL, RandomSource, Scheme, global_scheme
 
 EXIT_OK = 0
@@ -32,12 +31,6 @@ EXIT_DETECTED = 1
 EXIT_ERROR = 2
 
 _OPTION_BY_LABEL = {opt.label: opt for opt in ErrorOption}
-
-
-def _load_circuit(path: str) -> Circuit:
-    text = Path(path).read_text()
-    circuit = parse_qasm(text)
-    return Circuit(circuit.num_qubits, circuit.gates, name=Path(path).stem)
 
 
 def _scheme_from_args(name: str, layers: int | None) -> Scheme:
@@ -60,8 +53,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_verify(args) -> int:
-    spec = _load_circuit(args.spec)
-    impl = _load_circuit(args.impl)
+    spec = load_circuit(args.spec)
+    impl = load_circuit(args.impl)
     scheme = _scheme_from_args(args.scheme, args.layers)
     config = VerificationConfig(scheme, args.max_stimuli, args.epsilon, args.seed)
     report = verify(spec, impl, config)
@@ -143,7 +136,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
-    circuit = _load_circuit(args.spec)
+    circuit = load_circuit(args.spec)
     option = _OPTION_BY_LABEL.get(args.option)
     if option is None:
         print(f"error: unknown error option {args.option!r}; "
@@ -190,8 +183,8 @@ def _cmd_gen_circuits(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    spec = _load_circuit(args.spec)
-    impl = _load_circuit(args.impl)
+    spec = load_circuit(args.spec)
+    impl = load_circuit(args.impl)
     if spec.num_qubits != impl.num_qubits:
         print("error: qubit counts differ", file=sys.stderr)
         return EXIT_ERROR

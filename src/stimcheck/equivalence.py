@@ -8,9 +8,9 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit
 from .simulator import fidelity, simulate, zero_state
-from .stimuli import LOCAL, LOCAL_PREP_WORDS, RandomSource, Scheme, Stimulus, next_stimulus
+from .stimuli import LOCAL, RandomSource, Scheme, Stimulus, local_prep, next_stimulus
 
 DEFAULT_MAX_STIMULI = 16
 DEFAULT_EPSILON = 1e-8
@@ -103,10 +103,7 @@ def verify_exhaustive_local(
 
     def stimuli():
         for choice in itertools.product(range(6), repeat=n):
-            gates = []
-            for q in range(n):
-                gates.extend(Gate(kind, q) for kind in LOCAL_PREP_WORDS[choice[q]])
-            prep = Circuit(n, tuple(gates), name="local-stimulus")
-            yield Stimulus(prep, LOCAL, seed_tag="exhaustive:" + "".join(map(str, choice)))
+            yield Stimulus(local_prep(choice), LOCAL,
+                           seed_tag="exhaustive:" + "".join(map(str, choice)))
 
     return _run_stimuli(spec, impl, stimuli(), epsilon)

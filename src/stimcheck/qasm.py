@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 from .circuit import Circuit, Gate, GateKind
 
@@ -63,6 +64,10 @@ _GATE_TABLE = {
     "cx": (GateKind.X, 2, 0),
     "ccx": (GateKind.X, 3, 0),
 }
+
+# Register sizes and qubit indices longer than this are rejected before
+# int(), which raises ValueError past sys.get_int_max_str_digits() digits.
+_MAX_INT_DIGITS = 18
 
 
 @dataclass(frozen=True)
@@ -148,11 +153,12 @@ class _Parser:
         reg = self.expect("name")
         self.expect("punct", "[")
         size = self.expect("number")
-        if not size.text.isdigit() or int(size.text) < 1:
+        num_qubits = self.parse_integer(size, "register size")
+        if num_qubits < 1:
             self.fail("register size must be a positive integer", size)
         self.expect("punct", "]")
         self.expect("punct", ";")
-        return reg.text, int(size.text)
+        return reg.text, num_qubits
 
     def parse_gate(self, reg_name: str, num_qubits: int) -> Gate:
         tok = self.expect("name")
@@ -191,13 +197,18 @@ class _Parser:
             self.fail(f"unknown register {tok.text!r}", tok)
         self.expect("punct", "[")
         idx = self.expect("number")
-        if not idx.text.isdigit():
-            self.fail("qubit index must be an integer", idx)
-        index = int(idx.text)
+        index = self.parse_integer(idx, "qubit index")
         if index >= num_qubits:
             self.fail(f"qubit index {index} out of range for {reg_name}[{num_qubits}]", idx)
         self.expect("punct", "]")
         return index
+
+    def parse_integer(self, tok: _Token, what: str) -> int:
+        if not tok.text.isdigit():
+            self.fail(f"{what} must be an integer", tok)
+        if len(tok.text.lstrip("0")) > _MAX_INT_DIGITS:
+            self.fail(f"{what} has more than {_MAX_INT_DIGITS} digits", tok)
+        return int(tok.text)
 
     def parse_angle(self) -> float:
         start = self.peek()
@@ -236,6 +247,13 @@ class _Parser:
 def parse_qasm(source: str) -> Circuit:
     """Parse the QASM subset. Raises QasmError carrying a ParseDiagnostic."""
     return _Parser(_tokenize(source)).parse()
+
+
+def load_circuit(path: str | Path) -> Circuit:
+    """Parse a QASM file into a circuit named after the file's stem."""
+    path = Path(path)
+    circuit = parse_qasm(path.read_text())
+    return Circuit(circuit.num_qubits, circuit.gates, name=path.stem)
 
 
 _EMIT_NAMES = {

@@ -117,14 +117,18 @@ def gen_classical(num_qubits: int, rng: RandomSource, seed_tag: str = "") -> Sti
     return Stimulus(prep, CLASSICAL, seed_tag or rng.label)
 
 
+def local_prep(choice) -> Circuit:
+    """Preparation circuit putting qubit q in state LOCAL_PREP_WORDS[choice[q]]."""
+    gates = tuple(
+        Gate(kind, q) for q, word in enumerate(choice) for kind in LOCAL_PREP_WORDS[word]
+    )
+    return Circuit(len(choice), gates, name="local-stimulus")
+
+
 def gen_local(num_qubits: int, rng: RandomSource, seed_tag: str = "") -> Stimulus:
     """Independent uniform draw of one of the six single-qubit states per qubit."""
     draws = rng.gen.integers(0, 6, size=num_qubits)
-    gates = []
-    for q in range(num_qubits):
-        gates.extend(Gate(kind, q) for kind in LOCAL_PREP_WORDS[draws[q]])
-    prep = Circuit(num_qubits, tuple(gates), name="local-stimulus")
-    return Stimulus(prep, LOCAL, seed_tag or rng.label)
+    return Stimulus(local_prep(draws), LOCAL, seed_tag or rng.label)
 
 
 def gen_global(

@@ -136,3 +136,50 @@ def test_min_fidelity_of_empty_report():
     spec = ghz(2)
     report = verify(spec, spec, VerificationConfig(LOCAL, max_stimuli=1, seed=0))
     assert math.isclose(report.min_fidelity, 1.0)
+
+
+def _inserted(circuit: Circuit, insertions: list[tuple[int, list[Gate]]]) -> Circuit:
+    """The circuit with each gate list spliced in before gate `position`."""
+    gates = list(circuit.gates)
+    for position, extra in sorted(insertions, key=lambda item: -item[0]):
+        gates[position:position] = extra
+    return Circuit(circuit.num_qubits, tuple(gates))
+
+
+def _inverse_pairs(qubits: list[int], theta: float) -> list[list[Gate]]:
+    """H.H, S.SDG, T.TDG and rx(theta).rx(-theta), one on each given qubit."""
+    a, b, c, d = qubits
+    return [
+        [Gate(GateKind.H, a), Gate(GateKind.H, a)],
+        [Gate(GateKind.S, b), Gate(GateKind.SDG, b)],
+        [Gate(GateKind.T, c), Gate(GateKind.TDG, c)],
+        [Gate(GateKind.RX, d, params=(theta,)), Gate(GateKind.RX, d, params=(-theta,))],
+    ]
+
+
+# n = 12 is past the oracle's range, so only these identities vouch for the
+# verdict there. Fusion multiplies each inserted pair into one 2x2 that is
+# the identity only up to rounding, so the fidelity bound checks it too.
+@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("scheme", [CLASSICAL, LOCAL, global_scheme()], ids=lambda s: s.kind)
+def test_identities_inserted_into_a_circuit_never_flag(n, scheme):
+    rng = RandomSource(77, n)
+    spec = random_circuit(n, 5 * n, rng.derive(0), with_rotations=True, with_toffoli=True)
+
+    def position() -> int:
+        return int(rng.gen.integers(0, spec.gate_count + 1))
+
+    def qubit() -> int:
+        return int(rng.gen.integers(0, n))
+
+    q = qubit()
+    # applied Z, Y, X: the operator X.Y.Z is the global phase i
+    phase = _inserted(spec, [(position(), [Gate(GateKind.Z, q), Gate(GateKind.Y, q),
+                                           Gate(GateKind.X, q)])])
+    theta = float(rng.gen.uniform(-math.pi, math.pi))
+    pairs = _inverse_pairs([qubit() for _ in range(4)], theta)
+    undone = _inserted(spec, [(position(), pair) for pair in pairs])
+    for impl in (spec, phase, undone):
+        report = verify(spec, impl, VerificationConfig(scheme, max_stimuli=8, seed=n))
+        assert report.verdict is Verdict.BUDGET_EXHAUSTED
+        assert min(report.fidelities) >= 1 - 1e-12

@@ -157,3 +157,42 @@ def test_round_trip_random_circuits(seed, num_qubits, num_gates):
 def test_parser_is_deterministic():
     text = emit_qasm(random_circuit(4, 40, RandomSource(3), with_rotations=True))
     assert parse_qasm(text) == parse_qasm(text)
+
+
+# Fragments of the accepted language and near misses, so that generated text
+# reaches the parser's later states rather than failing at the header.
+QASM_FRAGMENTS = [
+    "OPENQASM", "2.0", "3.0", "include", '"qelib1.inc"', '"other.inc"', "qreg", "creg",
+    "q", "r", "[", "]", ";", ",", "(", ")", "*", "/", "-", "+", "pi", "0", "1", "2",
+    "07", "1e999", "0.5", ".5e-3", "1e200", "x", "cx", "ccx", "u2", "u3", "rx", "id",
+    "measure", "->", " ", "\n", "//", "\t",
+]
+qasm_soup = st.lists(st.sampled_from(QASM_FRAGMENTS), max_size=40).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.text(max_size=120),
+    qasm_soup,
+    qasm_soup.map(lambda body: "OPENQASM 2.0;\nqreg q[3];\n" + body),
+))
+def test_any_text_yields_a_circuit_or_a_diagnostic(text):
+    try:
+        circuit = parse_qasm(text)
+    except QasmError as exc:
+        assert exc.diagnostic.line >= 1 and exc.diagnostic.column >= 1
+    else:
+        assert isinstance(circuit, Circuit)
+
+
+@pytest.mark.parametrize("text", [
+    "OPENQASM 2.0; qreg q[" + "1" * 5000 + "];",
+    "OPENQASM 2.0; qreg q[2]; x q[" + "1" * 5000 + "];",
+])
+def test_integer_too_long_for_int_is_a_diagnostic(text):
+    # int() refuses numerals of more than 4300 digits with a ValueError
+    with pytest.raises(QasmError) as exc:
+        parse_qasm(text)
+    diag = exc.value.diagnostic
+    assert (diag.line, diag.column) == (1, text.index("1" * 5000) + 1)
+    assert "digits" in diag.message

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ from stimcheck.simulator import (
     StateVector,
     apply_gate,
     basis_state,
+    compile_ops,
     fidelity,
     simulate,
     zero_state,
 )
-from stimcheck.stimuli import RandomSource
+from stimcheck.stimuli import RandomSource, gen_global
 
 SQRT2_INV = 1 / math.sqrt(2)
 
@@ -170,6 +173,64 @@ def test_apply_gate_matches_oracle_for_every_target_and_control_set(kind, params
                                            atol=1e-12, err_msg=str(gate))
 
 
+def circuit_with_runs(num_qubits: int, seed: int) -> Circuit:
+    """Random gates with rotations and Toffolis, each followed by a run of up
+    to four single-qubit gates on one random qubit, which compile_ops fuses."""
+    rng = RandomSource(seed)
+    base = random_circuit(num_qubits, 30, rng.derive(0), with_rotations=True,
+                          with_toffoli=True)
+    # on one qubit random_circuit draws single-qubit gates only
+    run_gates = random_circuit(1, 4 * 30, rng.derive(1), with_rotations=True).gates
+    gates = []
+    for k, gate in enumerate(base.gates):
+        gates.append(gate)
+        q = int(rng.gen.integers(0, num_qubits))
+        length = int(rng.gen.integers(0, 5))
+        gates.extend(dataclasses.replace(g, target=q) for g in run_gates[4 * k:4 * k + length])
+    return Circuit(num_qubits, tuple(gates))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_simulate_matches_gate_by_gate_and_oracle(n):
+    for k in range(5):
+        circuit = circuit_with_runs(n, 40 + 10 * n + k)
+        assert len(compile_ops(circuit)) < circuit.gate_count
+        initial = simulate(random_circuit(n, 10, RandomSource(1100 + k)), zero_state(n))
+        folded = initial.copy()
+        for gate in circuit.gates:
+            apply_gate(folded, gate)
+        out = simulate(circuit, initial)
+        np.testing.assert_allclose(out.amplitudes, folded.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(out.amplitudes, build_unitary(circuit) @ initial.amplitudes,
+                                   atol=1e-12)
+
+
+def test_simulate_leaves_initial_unmutated():
+    initial = simulate(random_circuit(4, 10, RandomSource(5)), zero_state(4))
+    before = initial.amplitudes.copy()
+    out = simulate(circuit_with_runs(4, 6), initial)
+    np.testing.assert_array_equal(initial.amplitudes, before)
+    assert not np.shares_memory(out.amplitudes, initial.amplitudes)
+
+
+def test_global_stimulus_fuses_into_under_half_as_many_kernel_calls(monkeypatch):
+    n = 16
+    prep = gen_global(n, n, RandomSource(8)).prep
+    calls = 0
+    apply_2x2 = kernels.apply_2x2
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        apply_2x2(*args)
+
+    monkeypatch.setattr(kernels, "apply_2x2", counting)
+    out = simulate(prep, zero_state(n))
+    assert calls == len(compile_ops(prep))
+    assert calls < prep.gate_count / 2
+    assert abs(out.norm() - 1.0) < 1e-10
+
+
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         kernels.use_backend("fortran")
@@ -188,3 +249,26 @@ def test_backends_agree():
     finally:
         kernels.use_backend(active)
     np.testing.assert_allclose(results["cython"], results["python"], atol=1e-13)
+
+
+def test_concurrent_simulations_match_sequential_ones():
+    # The numpy kernel's scratch buffers are per thread, and numpy releases
+    # the interpreter lock inside updates of this size.
+    n = 12
+    circuits = [random_circuit(n, 60, RandomSource(1200 + k), with_rotations=True)
+                for k in range(4)]
+    expected = [simulate(c, zero_state(n)).amplitudes for c in circuits]
+    results: dict[int, list[np.ndarray]] = {}
+
+    def worker(k: int) -> None:
+        results[k] = [simulate(circuits[k], zero_state(n)).amplitudes for _ in range(5)]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(circuits))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for k, amps in enumerate(expected):
+        for out in results[k]:
+            np.testing.assert_array_equal(out, amps)
