@@ -7,6 +7,7 @@ kind; a circuit's overall unitary is the ordered product of its gates'
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -41,48 +42,75 @@ class GateKind(Enum):
         return 0
 
 
-_FIXED_MATRICES = {
-    GateKind.I: np.eye(2, dtype=complex),
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
-    GateKind.T: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-    GateKind.TDG: np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
+_T_PHASE = cmath.exp(1j * math.pi / 4)
+
+# Row-major entries (m00, m01, m10, m11) of every parameter-free gate kind.
+_FIXED_ENTRIES = {
+    GateKind.I: (1 + 0j, 0j, 0j, 1 + 0j),
+    GateKind.X: (0j, 1 + 0j, 1 + 0j, 0j),
+    GateKind.Y: (0j, -1j, 1j, 0j),
+    GateKind.Z: (1 + 0j, 0j, 0j, -1 + 0j),
+    GateKind.H: (complex(_SQRT2_INV), complex(_SQRT2_INV),
+                 complex(_SQRT2_INV), complex(-_SQRT2_INV)),
+    GateKind.S: (1 + 0j, 0j, 0j, 1j),
+    GateKind.SDG: (1 + 0j, 0j, 0j, -1j),
+    GateKind.T: (1 + 0j, 0j, 0j, _T_PHASE),
+    GateKind.TDG: (1 + 0j, 0j, 0j, _T_PHASE.conjugate()),
 }
+
+
+def _rx(t: float) -> tuple[complex, ...]:
+    c, s = math.cos(t / 2), math.sin(t / 2)
+    return (complex(c), -1j * s, -1j * s, complex(c))
+
+
+def _ry(t: float) -> tuple[complex, ...]:
+    c, s = math.cos(t / 2), math.sin(t / 2)
+    return (complex(c), complex(-s), complex(s), complex(c))
+
+
+def _rz(t: float) -> tuple[complex, ...]:
+    return (cmath.exp(-1j * t / 2), 0j, 0j, cmath.exp(1j * t / 2))
+
+
+def _phase(lam: float) -> tuple[complex, ...]:
+    return (1 + 0j, 0j, 0j, cmath.exp(1j * lam))
+
+
+def _u3(t: float, phi: float, lam: float) -> tuple[complex, ...]:
+    # qelib1 convention
+    c, s = math.cos(t / 2), math.sin(t / 2)
+    return (complex(c), -cmath.exp(1j * lam) * s,
+            cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c)
+
+
+# Parameter count and entries of every parametrised gate kind.
+_PARAMETRISED_ENTRIES = {
+    GateKind.RX: (1, _rx),
+    GateKind.RY: (1, _ry),
+    GateKind.RZ: (1, _rz),
+    GateKind.PHASE: (1, _phase),
+    GateKind.U3: (3, _u3),
+}
+
+
+def gate_entries(kind: GateKind, params: tuple[float, ...] = ()) -> tuple[complex, ...]:
+    """Row-major entries (m00, m01, m10, m11) of a gate kind's 2x2 unitary,
+    as Python complex numbers. Controls are applied by the simulator."""
+    fixed = _FIXED_ENTRIES.get(kind)
+    if fixed is not None and not params:
+        return fixed
+    count, entries = _PARAMETRISED_ENTRIES.get(kind, (0, None))
+    if len(params) != count:
+        raise ValueError(f"{kind.name} takes {count} parameter(s), got {len(params)}")
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"non-finite parameter in {params}")
+    return entries(*params)
 
 
 def base_matrix(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
     """2x2 unitary for a gate kind. Controls are applied by the simulator."""
-    if len(params) != kind.num_params:
-        raise ValueError(f"{kind.name} takes {kind.num_params} parameter(s), got {len(params)}")
-    if not all(math.isfinite(p) for p in params):
-        raise ValueError(f"non-finite parameter in {params}")
-    if kind in _FIXED_MATRICES:
-        return _FIXED_MATRICES[kind].copy()
-    if kind is GateKind.RX:
-        (t,) = params
-        c, s = math.cos(t / 2), math.sin(t / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if kind is GateKind.RY:
-        (t,) = params
-        c, s = math.cos(t / 2), math.sin(t / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind is GateKind.RZ:
-        (t,) = params
-        return np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]], dtype=complex)
-    if kind is GateKind.PHASE:
-        (lam,) = params
-        return np.array([[1, 0], [0, np.exp(1j * lam)]], dtype=complex)
-    # U3(theta, phi, lam), qelib1 convention
-    t, phi, lam = params
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    return np.array(
-        [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]],
-        dtype=complex,
-    )
+    return np.array(gate_entries(kind, params), dtype=complex).reshape(2, 2)
 
 
 @dataclass(frozen=True)

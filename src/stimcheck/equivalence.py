@@ -1,6 +1,20 @@
-"""Simulative verification loop: draw a stimulus, simulate both circuits,
-compare output fidelity, stop at the first discrepancy or when the budget
-is exhausted."""
+"""Simulative verification: draw stimuli, simulate both circuits, compare
+output fidelities, stop at the first discrepancy or when the budget is
+exhausted.
+
+`verify` and `verify_exhaustive_local` share one block engine. Each verify
+compiles the specification and the realization once. Stimuli are drawn and
+prepared as blocks of B rows of a (B, 2^n) array, with B = 1, 2, 4, 8, ...
+capped by the remaining budget, so that an early detection wastes at most
+the rest of its block. A block holds at most BLOCK_AMPS amplitudes, so from
+n = 16 on every block has one row. The specification runs in place on the
+prepared block and the realization on one copy, so two blocks are live.
+Only the row that detects an error gets its preparation circuit rebuilt,
+as the witness, from its recorded draws.
+
+`next_stimulus` and `simulate` are not called here but stay importable from
+this module, for tools that wrap the verify loop's layers by name.
+"""
 from __future__ import annotations
 
 import itertools
@@ -8,13 +22,20 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .circuit import Circuit
-from .simulator import fidelity, simulate, zero_state
-from .stimuli import LOCAL, RandomSource, Scheme, Stimulus, local_prep, next_stimulus
+from .simulator import StateVector, check_qubits, compile_ops, fidelity, run_ops
+from .simulator import simulate  # noqa: F401
+from .stimuli import LOCAL, Draws, RandomSource, Scheme, Stimulus, draw
+from .stimuli import next_stimulus  # noqa: F401
 
 DEFAULT_MAX_STIMULI = 16
 DEFAULT_EPSILON = 1e-8
 EXHAUSTIVE_LOCAL_LIMIT = 8
+# Amplitudes per block: blocks amortize per-call kernel cost, which matters
+# only on small states; beyond this a wider block just takes more memory.
+BLOCK_AMPS = 1 << 16
 
 
 class Verdict(Enum):
@@ -55,23 +76,43 @@ def _check_compatible(spec: Circuit, impl: Circuit) -> None:
             f"qubit counts differ: specification has {spec.num_qubits}, "
             f"realization has {impl.num_qubits}"
         )
+    check_qubits(spec.num_qubits)
 
 
-def _run_stimuli(spec, impl, stimuli, epsilon) -> VerificationReport:
+def _run_blocks(spec, impl, budget, draw_block, seed_tag, epsilon) -> VerificationReport:
+    """Check `budget` stimuli in blocks of 1, 2, 4, ... rows, each block
+    capped by the remaining budget and by BLOCK_AMPS amplitudes.
+
+    `draw_block(rows)` returns the Draws of the next `rows` stimuli, and
+    `seed_tag(k, choice)` the tag of stimulus k from its row of choices.
+    Fidelities are checked row by row in stimulus order and the first
+    detection ends the run, so `stimuli_used` and `fidelities` are what a
+    stimulus-by-stimulus loop would report; the rest of that block is
+    discarded. The witness circuit is built only for the detecting row.
+    """
     start = time.perf_counter()
-    fidelities: list[float] = []
     n = spec.num_qubits
-    for stimulus in stimuli:
-        prepared = simulate(stimulus.prep, zero_state(n))
-        out_spec = simulate(spec, prepared)
-        out_impl = simulate(impl, prepared)
-        f = fidelity(out_spec, out_impl)
-        fidelities.append(f)
-        if 1.0 - f > epsilon:
-            return VerificationReport(
-                Verdict.ERROR_DETECTED, len(fidelities), fidelities, stimulus,
-                time.perf_counter() - start,
-            )
+    spec_ops, impl_ops = compile_ops(spec), compile_ops(impl)
+    max_rows = max(1, BLOCK_AMPS >> n)
+    fidelities: list[float] = []
+    rows = 1
+    while len(fidelities) < budget:
+        draws = draw_block(min(rows, max_rows, budget - len(fidelities)))
+        out_spec = draws.prepare()
+        out_impl = out_spec.copy()
+        run_ops(out_spec, n, spec_ops)
+        run_ops(out_impl, n, impl_ops)
+        for row in range(len(draws)):
+            f = fidelity(StateVector(n, out_spec[row]), StateVector(n, out_impl[row]))
+            fidelities.append(f)
+            if 1.0 - f > epsilon:
+                k = len(fidelities) - 1
+                witness = draws.stimulus(row, seed_tag(k, draws.choices[row]))
+                return VerificationReport(
+                    Verdict.ERROR_DETECTED, k + 1, fidelities, witness,
+                    time.perf_counter() - start,
+                )
+        rows *= 2
     return VerificationReport(
         Verdict.BUDGET_EXHAUSTED, len(fidelities), fidelities, None,
         time.perf_counter() - start,
@@ -79,14 +120,18 @@ def _run_stimuli(spec, impl, stimuli, epsilon) -> VerificationReport:
 
 
 def verify(spec: Circuit, impl: Circuit, config: VerificationConfig) -> VerificationReport:
-    """Budgeted verification with randomly drawn stimuli; deterministic given the seed."""
+    """Budgeted verification with randomly drawn stimuli; deterministic given the seed.
+
+    Stimulus k is the k-th draw from one RandomSource(config.seed) stream,
+    tagged f"{seed}:{k}", exactly as `next_stimulus` would draw it."""
     _check_compatible(spec, impl)
     rng = RandomSource(config.seed)
-    stimuli = (
-        next_stimulus(config.scheme, spec.num_qubits, rng, seed_tag=f"{config.seed}:{k}")
-        for k in range(config.max_stimuli)
+    return _run_blocks(
+        spec, impl, config.max_stimuli,
+        lambda rows: draw(config.scheme, spec.num_qubits, [rng] * rows),
+        lambda k, choice: f"{config.seed}:{k}",
+        config.epsilon,
     )
-    return _run_stimuli(spec, impl, stimuli, config.epsilon)
 
 
 def verify_exhaustive_local(
@@ -100,10 +145,10 @@ def verify_exhaustive_local(
     n = spec.num_qubits
     if n > limit:
         raise ValueError(f"{n} qubits exceeds the exhaustive limit of {limit}")
-
-    def stimuli():
-        for choice in itertools.product(range(6), repeat=n):
-            yield Stimulus(local_prep(choice), LOCAL,
-                           seed_tag="exhaustive:" + "".join(map(str, choice)))
-
-    return _run_stimuli(spec, impl, stimuli(), epsilon)
+    choices = itertools.product(range(6), repeat=n)
+    return _run_blocks(
+        spec, impl, 6 ** n,
+        lambda rows: Draws(LOCAL, np.array(list(itertools.islice(choices, rows)), dtype=np.intp)),
+        lambda k, choice: "exhaustive:" + "".join(map(str, choice)),
+        epsilon,
+    )

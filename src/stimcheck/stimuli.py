@@ -5,14 +5,31 @@ scheme prepares per-qubit states from the six single-qubit stabilizer states
 {|0>,|1>,|+>,|->,|up>,|down>}; the global scheme layers random Clifford
 gates (H, S, CNOT) so that the stimulus ensemble approaches a state
 2-design as the layer count grows.
+
+`draw` records only the random choices behind a block of stimuli, one row
+per stimulus, in a `Draws`: classical bits, local state indices, or, for
+global, each qubit's Clifford word index and the CNOT pairs of every
+sub-round. It makes the same generator calls, in the same order and with
+the same sizes, as drawing each stimulus on its own, so a stimulus does not
+depend on the block it is drawn in. `Draws.prepare` builds the prepared
+states directly as a (B, 2^n) block: one amplitude per row for classical,
+an outer product of single-qubit states for local, and for global a per-row
+2x2 per qubit and a per-row index permutation per CNOT layer. A block of
+one row (every block from n = 16 on, where the verifier caps blocks) goes
+through the structure-aware kernel instead. `Draws.prep` rebuilds one row's
+preparation circuit, which the verifier does only for a witness; `gen_*`
+and `next_stimulus` are draws of one row turned into a `Stimulus`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from . import kernels
+from .circuit import Circuit, Gate, GateKind, gate_entries
+from .simulator import compile_ops
 
 _VALID_SCHEMES = ("classical", "local", "global")
 
@@ -109,12 +126,174 @@ def _single_qubit_cliffords() -> tuple[tuple[GateKind, ...], ...]:
 CLIFFORD_1Q_WORDS = _single_qubit_cliffords()
 
 
+def _word_entries(words) -> np.ndarray:
+    """Row-major entries of each word's fused 2x2, one row per word."""
+    entries = []
+    for word in words:
+        ops = compile_ops(Circuit(1, tuple(Gate(kind, 0) for kind in word)))
+        entries.append(ops[0][2:] if ops else gate_entries(GateKind.I))
+    return np.array(entries, dtype=complex)
+
+
+# Column 0 of a word's matrix is the state it prepares from |0>.
+_LOCAL_STATES = _word_entries(LOCAL_PREP_WORDS)[:, ::2]
+_CLIFFORD_ENTRIES = _word_entries(CLIFFORD_1Q_WORDS)
+_CNOT = gate_entries(GateKind.X)
+
+
+def _draw_global(num_qubits: int, layers: int, gen: np.random.Generator):
+    """Each sub-round's Clifford word index per qubit, then its CNOT
+    (control, target) pairs: uniform word draws, a uniform permutation
+    matched in consecutive pairs, and a fair coin for each orientation."""
+    integers, random = gen.integers, gen.random
+    words, pairs = [], []
+    for _ in range(2 * layers):
+        words.append([integers(0, 24) for _ in range(num_qubits)])
+        order = gen.permutation(num_qubits).tolist()
+        matching = []
+        for k in range(num_qubits // 2):
+            a, b = order[2 * k], order[2 * k + 1]
+            if random() < 0.5:
+                a, b = b, a
+            matching.append((a, b))
+        pairs.append(matching)
+    return words, pairs
+
+
+@dataclass(frozen=True)
+class Draws:
+    """The random draws behind a block of stimuli, one row per stimulus.
+
+    - classical: `choices[b, q]` is qubit q's bit;
+    - local: `choices[b, q]` indexes LOCAL_PREP_WORDS;
+    - global: `choices[b, r, q]` indexes CLIFFORD_1Q_WORDS for qubit q in
+      sub-round r, and `pairs[b, r]` holds the (control, target) qubits of
+      that sub-round's CNOTs.
+
+    `prepare` builds the prepared states directly, without circuits; `prep`
+    builds one row's preparation circuit, for a witness.
+    """
+    scheme: Scheme  # for global, with the layer count resolved
+    choices: np.ndarray
+    pairs: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.choices)
+
+    @property
+    def num_qubits(self) -> int:
+        return self.choices.shape[-1]
+
+    def prep(self, row: int) -> Circuit:
+        """Preparation circuit of one row, gate for gate what `gen_*` builds."""
+        n = self.num_qubits
+        choice = self.choices[row].tolist()
+        if self.scheme.kind == "classical":
+            gates = tuple(Gate(GateKind.X, q) for q in range(n) if choice[q])
+            return Circuit(n, gates, name="classical-stimulus")
+        if self.scheme.kind == "local":
+            return local_prep(choice)
+        gates: list[Gate] = []
+        for words, matching in zip(choice, self.pairs[row].tolist()):
+            for q, word in enumerate(words):
+                gates.extend(Gate(kind, q) for kind in CLIFFORD_1Q_WORDS[word])
+            gates.extend(Gate(GateKind.X, b, controls=(a,)) for a, b in matching)
+        return Circuit(n, tuple(gates), name="global-stimulus")
+
+    def stimulus(self, row: int, seed_tag: str) -> Stimulus:
+        return Stimulus(self.prep(row), self.scheme, seed_tag)
+
+    def prepare(self) -> np.ndarray:
+        """The prepared states as a C-contiguous (rows, 2^n) block, row b
+        equal to simulating `prep(b)` on |0...0>."""
+        n, rows = self.num_qubits, len(self)
+        if self.scheme.kind == "classical":
+            block = np.zeros((rows, 1 << n), dtype=complex)
+            block[np.arange(rows), self.choices @ (1 << np.arange(n))] = 1.0
+            return block
+        if self.scheme.kind == "local":
+            return _product(_LOCAL_STATES[self.choices])
+        # Sub-round 0 acts on |0...0>, so its words prepare a product state.
+        block = _product(_CLIFFORD_ENTRIES[self.choices[:, 0]][..., ::2])
+        for r in range(self.choices.shape[1]):
+            if r:
+                for q in range(n):
+                    _apply_rows(block, n, q, _CLIFFORD_ENTRIES[self.choices[:, r, q]])
+            block = _cnot_layer(block, n, self.pairs[:, r])
+        return block
+
+
+def _product(states: np.ndarray) -> np.ndarray:
+    """(rows, n, 2) single-qubit states -> (rows, 2^n) product states, with
+    qubit 0 the least significant bit of the amplitude index. Built in place:
+    after qubit q, the first 2^(q+1) amplitudes of a row hold the product
+    state of qubits 0..q."""
+    rows, n, _ = states.shape
+    block = np.empty((rows, 1 << n), dtype=complex)
+    block[:, :2] = states[:, 0]
+    for q in range(1, n):
+        low, high = block[:, :1 << q], block[:, 1 << q:2 << q]
+        np.multiply(states[:, q, 1, None], low, out=high)
+        low *= states[:, q, 0, None]
+    return block
+
+
+def _apply_rows(block: np.ndarray, n: int, q: int, entries: np.ndarray) -> None:
+    """Apply row b's 2x2 `entries[b]` to qubit q of block row b, in place."""
+    if len(block) == 1:
+        # The kernel skips the zeros of diagonal and anti-diagonal words.
+        kernels.apply_2x2(block, n, q, 0, *entries[0].tolist())
+        return
+    view = block.reshape(len(block), -1, 2, 1 << q)
+    x0, x1 = view[:, :, 0], view[:, :, 1]
+    m00, m01, m10, m11 = entries.T[:, :, None, None]
+    s0 = x0 * m10
+    x0 *= m00
+    x0 += x1 * m01
+    x1 *= m11
+    x1 += s0
+
+
+def _cnot_layer(block: np.ndarray, n: int, pairs: np.ndarray) -> np.ndarray:
+    """Apply row b's CNOTs `pairs[b]` (disjoint (control, target) pairs) to
+    block row b. Many rows gather through one index permutation per row;
+    the permutation is its own inverse, because disjoint CNOTs commute and
+    each undoes itself. One row goes through the kernel, which is faster
+    than building an index of 2^n entries."""
+    if len(block) == 1:
+        for control, target in pairs[0].tolist():
+            kernels.apply_2x2(block, n, target, 1 << control, *_CNOT)
+        return block
+    index = np.arange(1 << n)
+    perm = np.tile(index, (len(block), 1))
+    for control, target in pairs.transpose(1, 2, 0):
+        perm ^= ((index >> control[:, None]) & 1) << target[:, None]
+    return np.take_along_axis(block, perm, axis=1)
+
+
+def draw(scheme: Scheme, num_qubits: int, sources: Sequence[RandomSource]) -> Draws:
+    """Draw one stimulus from each source in turn, in the order given; a
+    source listed k times gives k consecutive stimuli of its stream. The
+    draws are the ones `gen_*` makes, call for call."""
+    gens = [source.gen for source in sources]
+    if scheme.kind == "global":
+        layers = scheme.layers if scheme.layers is not None else num_qubits
+        drawn = [_draw_global(num_qubits, layers, gen) for gen in gens]
+        pairs = np.array([pairs for _, pairs in drawn], dtype=np.intp)
+        return Draws(
+            global_scheme(layers),
+            np.array([words for words, _ in drawn], dtype=np.intp),
+            # (rows, sub-rounds, n // 2, 2), also when n = 1 leaves no pairs
+            pairs.reshape(len(gens), 2 * layers, -1, 2),
+        )
+    high = 2 if scheme.kind == "classical" else 6
+    return Draws(scheme, np.array([gen.integers(0, high, size=num_qubits) for gen in gens],
+                                  dtype=np.intp))
+
+
 def gen_classical(num_qubits: int, rng: RandomSource, seed_tag: str = "") -> Stimulus:
     """Uniform computational basis state: X on each qubit whose bit is 1."""
-    bits = rng.gen.integers(0, 2, size=num_qubits)
-    gates = tuple(Gate(GateKind.X, q) for q in range(num_qubits) if bits[q])
-    prep = Circuit(num_qubits, gates, name="classical-stimulus")
-    return Stimulus(prep, CLASSICAL, seed_tag or rng.label)
+    return draw(CLASSICAL, num_qubits, [rng]).stimulus(0, seed_tag or rng.label)
 
 
 def local_prep(choice) -> Circuit:
@@ -127,8 +306,7 @@ def local_prep(choice) -> Circuit:
 
 def gen_local(num_qubits: int, rng: RandomSource, seed_tag: str = "") -> Stimulus:
     """Independent uniform draw of one of the six single-qubit states per qubit."""
-    draws = rng.gen.integers(0, 6, size=num_qubits)
-    return Stimulus(local_prep(draws), LOCAL, seed_tag or rng.label)
+    return draw(LOCAL, num_qubits, [rng]).stimulus(0, seed_tag or rng.label)
 
 
 def gen_global(
@@ -143,31 +321,10 @@ def gen_global(
     deviates from the average gate fidelity by ~0.08 at l = n = 4, with two
     it agrees within sampling error.
     """
-    if layers < 1:
-        raise ValueError(f"layer count must be positive, got {layers}")
-    gen = rng.gen
-    gates: list[Gate] = []
-    for _ in range(layers):
-        for _ in range(2):
-            for q in range(num_qubits):
-                word = CLIFFORD_1Q_WORDS[gen.integers(0, 24)]
-                gates.extend(Gate(kind, q) for kind in word)
-            order = gen.permutation(num_qubits)
-            for k in range(num_qubits // 2):
-                a, b = int(order[2 * k]), int(order[2 * k + 1])
-                if gen.random() < 0.5:
-                    a, b = b, a
-                gates.append(Gate(GateKind.X, b, controls=(a,)))
-    prep = Circuit(num_qubits, tuple(gates), name="global-stimulus")
-    return Stimulus(prep, global_scheme(layers), seed_tag or rng.label)
+    return draw(global_scheme(layers), num_qubits, [rng]).stimulus(0, seed_tag or rng.label)
 
 
 def next_stimulus(
     scheme: Scheme, num_qubits: int, rng: RandomSource, seed_tag: str = ""
 ) -> Stimulus:
-    if scheme.kind == "classical":
-        return gen_classical(num_qubits, rng, seed_tag)
-    if scheme.kind == "local":
-        return gen_local(num_qubits, rng, seed_tag)
-    layers = scheme.layers if scheme.layers is not None else num_qubits
-    return gen_global(num_qubits, layers, rng, seed_tag)
+    return draw(scheme, num_qubits, [rng]).stimulus(0, seed_tag or rng.label)

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import pytest
 
+from stimcheck import kernels
 from stimcheck.circuit import Circuit, Gate, GateKind
 from stimcheck.equivalence import (
     Verdict,
@@ -9,8 +11,18 @@ from stimcheck.equivalence import (
     verify,
     verify_exhaustive_local,
 )
-from stimcheck.library import ghz, random_circuit
-from stimcheck.stimuli import CLASSICAL, LOCAL, RandomSource, global_scheme
+from stimcheck.library import bundled_corpus, ghz, random_circuit
+from stimcheck.mutation import ErrorOption, MutationError, mutate
+from stimcheck.simulator import fidelity, simulate, zero_state
+from stimcheck.stimuli import (
+    CLASSICAL,
+    LOCAL,
+    RandomSource,
+    Stimulus,
+    global_scheme,
+    local_prep,
+    next_stimulus,
+)
 
 
 def cnot_pair() -> tuple[Circuit, Circuit]:
@@ -183,3 +195,85 @@ def test_identities_inserted_into_a_circuit_never_flag(n, scheme):
         report = verify(spec, impl, VerificationConfig(scheme, max_stimuli=8, seed=n))
         assert report.verdict is Verdict.BUDGET_EXHAUSTED
         assert min(report.fidelities) >= 1 - 1e-12
+
+
+def _reference_run(spec, impl, stimuli, epsilon):
+    """Stimulus by stimulus: simulate the preparation circuit, then spec and
+    impl, and stop at the first fidelity below 1 - epsilon."""
+    n = spec.num_qubits
+    fidelities = []
+    for stimulus in stimuli:
+        prepared = simulate(stimulus.prep, zero_state(n))
+        fidelities.append(fidelity(simulate(spec, prepared), simulate(impl, prepared)))
+        if 1.0 - fidelities[-1] > epsilon:
+            return Verdict.ERROR_DETECTED, fidelities, stimulus
+    return Verdict.BUDGET_EXHAUSTED, fidelities, None
+
+
+def _assert_same_report(report, reference):
+    verdict, fidelities, witness = reference
+    assert report.verdict is verdict
+    assert report.stimuli_used == len(fidelities)
+    assert report.fidelities == pytest.approx(fidelities, abs=1e-12)
+    assert report.witness == witness
+
+
+def _corpus_pairs(sizes):
+    """Each bundled circuit with one mutant per error option, and with an
+    equivalent copy (inserted H.H) that runs every budget to the end."""
+    for ci, circuit in enumerate(bundled_corpus(sizes)):
+        yield circuit, circuit.prepended(Gate(GateKind.H, 1), Gate(GateKind.H, 1))
+        for oi, option in enumerate(ErrorOption):
+            try:
+                yield circuit, mutate(circuit, option, RandomSource(500, ci, oi))
+            except MutationError:
+                continue
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_verify_matches_a_stimulus_by_stimulus_loop(n):
+    for k, (spec, impl) in enumerate(_corpus_pairs((n,))):
+        for scheme in (CLASSICAL, LOCAL, global_scheme()):
+            config = VerificationConfig(scheme, max_stimuli=20, seed=k)
+            rng = RandomSource(config.seed)
+            stimuli = (next_stimulus(scheme, n, rng, seed_tag=f"{config.seed}:{j}")
+                       for j in range(config.max_stimuli))
+            reference = _reference_run(spec, impl, stimuli, config.epsilon)
+            _assert_same_report(verify(spec, impl, config), reference)
+
+
+# The reference loop is slow, so past this many stimuli it checks a prefix.
+REFERENCE_PREFIX = 6 ** 4
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_exhaustive_local_matches_a_stimulus_by_stimulus_loop(n):
+    for spec, impl in itertools.islice(_corpus_pairs((n,)), 1, None):
+        report = verify_exhaustive_local(spec, impl)
+        stimuli = (Stimulus(local_prep(choice), LOCAL,
+                            "exhaustive:" + "".join(map(str, choice)))
+                   for choice in itertools.product(range(6), repeat=n))
+        reference = _reference_run(spec, impl, itertools.islice(stimuli, REFERENCE_PREFIX), 1e-8)
+        if report.stimuli_used <= REFERENCE_PREFIX:
+            _assert_same_report(report, reference)
+        else:
+            assert reference[0] is Verdict.BUDGET_EXHAUSTED
+            assert report.fidelities[:REFERENCE_PREFIX] == pytest.approx(reference[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("n,budget,max_rows", [(12, 64, 16), (16, 4, 1)])
+def test_blocks_hold_at_most_2_to_the_16_amplitudes(monkeypatch, n, budget, max_rows):
+    shapes = set()
+    apply_2x2 = kernels.apply_2x2
+
+    def recording(amps, *args):
+        shapes.add(amps.shape)
+        apply_2x2(amps, *args)
+
+    monkeypatch.setattr(kernels, "apply_2x2", recording)
+    spec = ghz(n)
+    report = verify(spec, spec, VerificationConfig(LOCAL, max_stimuli=budget, seed=1))
+    assert report.stimuli_used == budget
+    rows = {shape[0] for shape in shapes}
+    assert all(shape[1] == 1 << n for shape in shapes)
+    assert max(rows) == max_rows

@@ -8,7 +8,7 @@ import pytest
 
 from stimcheck import kernels
 from stimcheck.circuit import Circuit, Gate, GateKind
-from stimcheck.library import random_circuit
+from stimcheck.library import qft, random_circuit
 from stimcheck.oracle import build_unitary, gate_unitary
 from stimcheck.simulator import (
     StateVector,
@@ -205,6 +205,52 @@ def test_simulate_matches_gate_by_gate_and_oracle(n):
                                    atol=1e-12)
 
 
+DIAGONAL_GATES = (
+    Gate(GateKind.Z, 0), Gate(GateKind.S, 0), Gate(GateKind.TDG, 0),
+    Gate(GateKind.RZ, 0, params=(0.7,)), Gate(GateKind.PHASE, 0, params=(-1.3,)),
+)
+
+
+def circuit_with_cx_sandwiches(num_qubits: int, seed: int) -> Circuit:
+    """Random gates, each followed by CX(c,t).D.CX(c,t), where D is a run of
+    diagonal gates on t and on c, and sometimes a run of H on t, which keeps
+    the CNOTs from cancelling."""
+    rng = RandomSource(seed)
+    base = random_circuit(num_qubits, 20, rng.derive(0), with_rotations=True,
+                          with_toffoli=num_qubits >= 3)
+    gates = []
+    for gate in base.gates:
+        gates.append(gate)
+        c, t = (int(q) for q in rng.gen.permutation(num_qubits)[:2])
+        middle = [dataclasses.replace(DIAGONAL_GATES[int(k)], target=q)
+                  for k, q in zip(rng.gen.integers(0, len(DIAGONAL_GATES), size=3), (t, c, t))]
+        if rng.gen.random() < 0.25:
+            middle.append(Gate(GateKind.H, t))
+        cx = Gate(GateKind.X, t, controls=(c,))
+        gates += [cx, *middle, cx]
+    return Circuit(num_qubits, tuple(gates))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cancelled_cnot_pairs_match_gate_by_gate_and_oracle(n):
+    for circuit in (qft(n), *(circuit_with_cx_sandwiches(n, 60 + 10 * n + k) for k in range(4))):
+        ops = compile_ops(circuit)
+        assert sum(1 for op in ops if op[1]) < sum(1 for g in circuit.gates if g.controls)
+        initial = simulate(random_circuit(n, 10, RandomSource(1300 + n)), zero_state(n))
+        folded = initial.copy()
+        for gate in circuit.gates:
+            apply_gate(folded, gate)
+        out = simulate(circuit, initial)
+        np.testing.assert_allclose(out.amplitudes, folded.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(out.amplitudes, build_unitary(circuit) @ initial.amplitudes,
+                                   atol=1e-12)
+
+
+def test_qft_compiles_to_under_half_as_many_ops_as_gates():
+    circuit = qft(16)
+    assert len(compile_ops(circuit)) < circuit.gate_count / 2
+
+
 def test_simulate_leaves_initial_unmutated():
     initial = simulate(random_circuit(4, 10, RandomSource(5)), zero_state(4))
     before = initial.amplitudes.copy()
@@ -229,26 +275,6 @@ def test_global_stimulus_fuses_into_under_half_as_many_kernel_calls(monkeypatch)
     assert calls == len(compile_ops(prep))
     assert calls < prep.gate_count / 2
     assert abs(out.norm() - 1.0) < 1e-10
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        kernels.use_backend("fortran")
-
-
-@pytest.mark.skipif("cython" not in kernels.available_backends(),
-                    reason="compiled kernel not built")
-def test_backends_agree():
-    active = kernels.backend_name()
-    circuit = random_circuit(6, 80, RandomSource(31), with_rotations=True, with_toffoli=True)
-    results = {}
-    try:
-        for name in kernels.available_backends():
-            kernels.use_backend(name)
-            results[name] = simulate(circuit, zero_state(6)).amplitudes
-    finally:
-        kernels.use_backend(active)
-    np.testing.assert_allclose(results["cython"], results["python"], atol=1e-13)
 
 
 def test_concurrent_simulations_match_sequential_ones():

@@ -14,6 +14,7 @@ from stimcheck.stimuli import (
     LOCAL_PREP_WORDS,
     RandomSource,
     Scheme,
+    draw,
     gen_classical,
     gen_global,
     gen_local,
@@ -225,3 +226,35 @@ class TestNextStimulus:
     def test_seed_tag_passthrough(self):
         stim = next_stimulus(CLASSICAL, 2, RandomSource(51), seed_tag="51:0")
         assert stim.seed_tag == "51:0"
+
+
+# Blocks of 1, 2, 4 and 3 rows drawn from one stream, as verify draws them.
+BLOCK_SIZES = (1, 2, 4, 3)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 7, 8, 12])
+@pytest.mark.parametrize("scheme", [CLASSICAL, LOCAL, global_scheme(1), global_scheme()],
+                         ids=["classical", "local", "global-1", "global-default"])
+def test_block_rows_match_simulated_next_stimulus(n, scheme):
+    block_rng, reference_rng = RandomSource(300, n), RandomSource(300, n)
+    k = 0
+    for rows in BLOCK_SIZES:
+        draws = draw(scheme, n, [block_rng] * rows)
+        block = draws.prepare()
+        assert block.shape == (rows, 1 << n) and block.flags.c_contiguous
+        for row in range(rows):
+            tag = f"300:{k}"
+            expected = next_stimulus(scheme, n, reference_rng, seed_tag=tag)
+            # the witness rebuilt from the row's draws is the same stimulus
+            assert draws.stimulus(row, tag) == expected
+            np.testing.assert_allclose(
+                block[row], simulate(expected.prep, zero_state(n)).amplitudes, atol=1e-12,
+                err_msg=f"stimulus {k}")
+            k += 1
+
+
+def test_draw_rows_from_separate_streams_match_gen_global():
+    sources = [RandomSource(301, k) for k in range(5)]
+    draws = draw(global_scheme(2), 4, sources)
+    for row in range(5):
+        assert draws.prep(row) == gen_global(4, 2, RandomSource(301, row)).prep
