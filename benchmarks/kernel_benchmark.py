@@ -14,6 +14,11 @@ verifier's block stimulus engine.
    simulating spec and impl (both qft(n)) on it. `verify` caps a block at
    2^16 amplitudes, so at n = 16 it only ever runs one row; the wider rows
    there show what a wider block would cost.
+4. One global stimulus (one layer per qubit) at n = 4, 8, ..., 20, up to
+   max-qubits: the time per `Draws.prepare` of a one-row block, which goes
+   through the stabilizer CH-form, against simulating the same preparation
+   circuit gate by gate with `simulate`; and at n = 12 the time per row of a
+   16-row block, which `verify` prepares with broadcast updates instead.
 
 Usage: python3 benchmarks/kernel_benchmark.py [--max-qubits N] [--repeats R]
 """
@@ -125,6 +130,19 @@ def main() -> None:
                 rate, *layers = block_engine_row(scheme, n, rows, args.repeats)
                 print(f"{scheme.kind:>9} {n:>6} {rows:>4} {rate:>10.1f} "
                       + " ".join(f"{t:>10.1f}" for t in layers))
+
+    print("\none global stimulus, ms per preparation:")
+    print(f"{'qubits':>6} {'prepare':>10} {'simulate':>10}")
+    for n in range(4, min(args.max_qubits, 20) + 1, 4):
+        draws = draw(global_scheme(), n, [RandomSource(5, n)])
+        circuit = draws.prep(0)
+        ch = best_seconds(draws.prepare, args.repeats)
+        kernel = best_seconds(lambda: simulate(circuit, zero_state(n)), args.repeats)
+        print(f"{n:>6} {ch * 1e3:>10.2f} {kernel * 1e3:>10.2f}")
+    rows = 16
+    block = draw(global_scheme(), 12, [RandomSource(5, 12)] * rows)
+    print(f"block of {rows} rows at n = 12: "
+          f"{best_seconds(block.prepare, args.repeats) / rows * 1e3:.2f} ms per row")
 
 
 if __name__ == "__main__":

@@ -7,10 +7,13 @@ compiles the specification and the realization once. Stimuli are drawn and
 prepared as blocks of B rows of a (B, 2^n) array, with B = 1, 2, 4, 8, ...
 capped by the remaining budget, so that an early detection wastes at most
 the rest of its block. A block holds at most BLOCK_AMPS amplitudes, so from
-n = 16 on every block has one row. The specification runs in place on the
-prepared block and the realization on one copy, so two blocks are live.
-Only the row that detects an error gets its preparation circuit rebuilt,
-as the witness, from its recorded draws.
+n = 16 on every block has one row; a one-row global block is prepared as
+a stabilizer CH-form (`clifford`), gate by gate in time polynomial in n,
+whose 2^n amplitudes are written once. The specification runs in place on
+the prepared block and the realization on one copy, so two blocks are
+live; both are freed before the next block is prepared. Only the row that
+detects an error gets its preparation circuit rebuilt, as the witness,
+from its recorded draws.
 
 `next_stimulus` and `simulate` are not called here but stay importable from
 this module, for tools that wrap the verify loop's layers by name.
@@ -112,6 +115,8 @@ def _run_blocks(spec, impl, budget, draw_block, seed_tag, epsilon) -> Verificati
                     Verdict.ERROR_DETECTED, k + 1, fidelities, witness,
                     time.perf_counter() - start,
                 )
+        # freed before the next block is prepared, so two blocks are live, not three
+        del out_spec, out_impl
         rows *= 2
     return VerificationReport(
         Verdict.BUDGET_EXHAUSTED, len(fidelities), fidelities, None,

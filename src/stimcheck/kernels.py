@@ -8,9 +8,9 @@ tools can wrap it here.
 """
 from __future__ import annotations
 
-from ._kernels_py import BACKEND, apply_2x2
+from ._kernels_py import BACKEND, apply_2x2, scratch_bytes
 
-__all__ = ["apply_2x2", "available_backends", "backend_name"]
+__all__ = ["apply_2x2", "available_backends", "backend_name", "scratch_bytes"]
 
 
 def available_backends() -> tuple[str, ...]:

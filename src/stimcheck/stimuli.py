@@ -14,11 +14,13 @@ the same sizes, as drawing each stimulus on its own, so a stimulus does not
 depend on the block it is drawn in. `Draws.prepare` builds the prepared
 states directly as a (B, 2^n) block: one amplitude per row for classical,
 an outer product of single-qubit states for local, and for global a per-row
-2x2 per qubit and a per-row index permutation per CNOT layer. A block of
-one row (every block from n = 16 on, where the verifier caps blocks) goes
-through the structure-aware kernel instead. `Draws.prep` rebuilds one row's
-preparation circuit, which the verifier does only for a witness; `gen_*`
-and `next_stimulus` are draws of one row turned into a `Stimulus`.
+2x2 per qubit and a per-row index permutation per CNOT layer. A global
+block of one row (every block from n = 16 on, where the verifier caps
+blocks) is a stabilizer state, which `clifford.CHForm` tracks gate by gate
+in polynomial time before writing its amplitudes once. `Draws.prep`
+rebuilds one row's preparation circuit, which the verifier does only for a
+witness; `gen_*` and `next_stimulus` are draws of one row turned into a
+`Stimulus`.
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
 from .circuit import Circuit, Gate, GateKind, gate_entries
+from .clifford import CHForm
 from .simulator import compile_ops
 
 _VALID_SCHEMES = ("classical", "local", "global")
@@ -138,7 +140,6 @@ def _word_entries(words) -> np.ndarray:
 # Column 0 of a word's matrix is the state it prepares from |0>.
 _LOCAL_STATES = _word_entries(LOCAL_PREP_WORDS)[:, ::2]
 _CLIFFORD_ENTRIES = _word_entries(CLIFFORD_1Q_WORDS)
-_CNOT = gate_entries(GateKind.X)
 
 
 def _draw_global(num_qubits: int, layers: int, gen: np.random.Generator):
@@ -205,7 +206,9 @@ class Draws:
 
     def prepare(self) -> np.ndarray:
         """The prepared states as a C-contiguous (rows, 2^n) block, row b
-        equal to simulating `prep(b)` on |0...0>."""
+        equal to simulating `prep(b)` on |0...0>, global phase included.
+        One global row comes from its CH-form, more rows from broadcast
+        updates of the whole block."""
         n, rows = self.num_qubits, len(self)
         if self.scheme.kind == "classical":
             block = np.zeros((rows, 1 << n), dtype=complex)
@@ -213,6 +216,8 @@ class Draws:
             return block
         if self.scheme.kind == "local":
             return _product(_LOCAL_STATES[self.choices])
+        if rows == 1:
+            return _global_row(n, self.choices[0], self.pairs[0])
         # Sub-round 0 acts on |0...0>, so its words prepare a product state.
         block = _product(_CLIFFORD_ENTRIES[self.choices[:, 0]][..., ::2])
         for r in range(self.choices.shape[1]):
@@ -238,12 +243,26 @@ def _product(states: np.ndarray) -> np.ndarray:
     return block
 
 
+def _global_row(n: int, choices: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """One global stimulus as a (1, 2^n) block: its gates, in `prep`'s
+    order, applied to a CH-form, whose amplitudes are written once."""
+    state = CHForm(n)
+    for words, matching in zip(choices.tolist(), pairs.tolist()):
+        for q, word in enumerate(words):
+            for kind in CLIFFORD_1Q_WORDS[word]:
+                if kind is GateKind.H:
+                    state.apply_h(q)
+                else:
+                    state.apply_s(q)
+        for control, target in matching:
+            state.apply_cx(control, target)
+    block = np.empty((1, 1 << n), dtype=complex)
+    state.write(block[0])
+    return block
+
+
 def _apply_rows(block: np.ndarray, n: int, q: int, entries: np.ndarray) -> None:
     """Apply row b's 2x2 `entries[b]` to qubit q of block row b, in place."""
-    if len(block) == 1:
-        # The kernel skips the zeros of diagonal and anti-diagonal words.
-        kernels.apply_2x2(block, n, q, 0, *entries[0].tolist())
-        return
     view = block.reshape(len(block), -1, 2, 1 << q)
     x0, x1 = view[:, :, 0], view[:, :, 1]
     m00, m01, m10, m11 = entries.T[:, :, None, None]
@@ -256,14 +275,9 @@ def _apply_rows(block: np.ndarray, n: int, q: int, entries: np.ndarray) -> None:
 
 def _cnot_layer(block: np.ndarray, n: int, pairs: np.ndarray) -> np.ndarray:
     """Apply row b's CNOTs `pairs[b]` (disjoint (control, target) pairs) to
-    block row b. Many rows gather through one index permutation per row;
+    block row b, gathering through one index permutation per row;
     the permutation is its own inverse, because disjoint CNOTs commute and
-    each undoes itself. One row goes through the kernel, which is faster
-    than building an index of 2^n entries."""
-    if len(block) == 1:
-        for control, target in pairs[0].tolist():
-            kernels.apply_2x2(block, n, target, 1 << control, *_CNOT)
-        return block
+    each undoes itself."""
     index = np.arange(1 << n)
     perm = np.tile(index, (len(block), 1))
     for control, target in pairs.transpose(1, 2, 0):

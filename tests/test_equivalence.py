@@ -11,7 +11,7 @@ from stimcheck.equivalence import (
     verify,
     verify_exhaustive_local,
 )
-from stimcheck.library import bundled_corpus, ghz, random_circuit
+from stimcheck.library import bundled_corpus, ghz, qft, random_circuit
 from stimcheck.mutation import ErrorOption, MutationError, mutate
 from stimcheck.simulator import fidelity, simulate, zero_state
 from stimcheck.stimuli import (
@@ -240,6 +240,28 @@ def test_verify_matches_a_stimulus_by_stimulus_loop(n):
                        for j in range(config.max_stimuli))
             reference = _reference_run(spec, impl, stimuli, config.epsilon)
             _assert_same_report(verify(spec, impl, config), reference)
+
+
+def test_global_verify_at_16_qubits_matches_a_stimulus_by_stimulus_loop():
+    # n = 16 is the first width where every block is one row, which the
+    # CH-form prepares; the reference simulates each preparation circuit.
+    n = 16
+    spec = qft(n)
+    rng = RandomSource(78)
+    positions = rng.gen.integers(0, spec.gate_count + 1, size=4)
+    pairs = _inverse_pairs([int(q) for q in rng.gen.integers(0, n, size=4)], 0.4)
+    rewrite = _inserted(spec, [(int(k), pair) for k, pair in zip(positions, pairs)])
+    # its fidelity (about 0.25) depends on the stimulus, unlike an inserted
+    # Pauli's 0, so a wrongly prepared stimulus shows in the fidelities
+    mutant = mutate(spec, ErrorOption.REMOVE_1, RandomSource(80))
+    for impl, verdict in ((rewrite, Verdict.BUDGET_EXHAUSTED), (mutant, Verdict.ERROR_DETECTED)):
+        config = VerificationConfig(global_scheme(), max_stimuli=2, seed=16)
+        rng = RandomSource(config.seed)
+        stimuli = (next_stimulus(config.scheme, n, rng, seed_tag=f"{config.seed}:{j}")
+                   for j in range(config.max_stimuli))
+        report = verify(spec, impl, config)
+        assert report.verdict is verdict
+        _assert_same_report(report, _reference_run(spec, impl, stimuli, config.epsilon))
 
 
 # The reference loop is slow, so past this many stimuli it checks a prefix.

@@ -1,10 +1,16 @@
 import itertools
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stimcheck import clifford
 from stimcheck.circuit import Circuit, Gate, GateKind
+from stimcheck.clifford import CHForm
+from stimcheck.oracle import build_unitary
 from stimcheck.qasm import emit_qasm
 from stimcheck.simulator import simulate, zero_state
 from stimcheck.stimuli import (
@@ -258,3 +264,147 @@ def test_draw_rows_from_separate_streams_match_gen_global():
     draws = draw(global_scheme(2), 4, sources)
     for row in range(5):
         assert draws.prep(row) == gen_global(4, 2, RandomSource(301, row)).prep
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
+@pytest.mark.parametrize("layers", [1, None], ids=["global-1", "global-default"])
+def test_one_row_global_block_equals_its_simulated_prep(n, layers):
+    # one row goes through the CH-form; its global phase must match too
+    for seed in range(8 if n <= 8 else 3):
+        draws = draw(global_scheme(layers), n, [RandomSource(310, n, seed)])
+        block = draws.prepare()
+        assert block.shape == (1, 1 << n) and block.flags.c_contiguous
+        expected = simulate(draws.prep(0), zero_state(n)).amplitudes
+        np.testing.assert_allclose(block[0], expected, rtol=0, atol=1e-12,
+                                   err_msg=f"seed {seed}")
+
+
+def random_clifford_circuit(n: int, length: int, gen: np.random.Generator) -> Circuit:
+    """H, S and CX gates in any order, each kind equally likely (no CX at n = 1)."""
+    gates = []
+    for _ in range(length):
+        kind = int(gen.integers(3 if n > 1 else 2))
+        if kind == 2:
+            control, target = (int(q) for q in gen.choice(n, size=2, replace=False))
+            gates.append(Gate(GateKind.X, target, controls=(control,)))
+        else:
+            gates.append(Gate((GateKind.H, GateKind.S)[kind], int(gen.integers(n))))
+    return Circuit(n, tuple(gates))
+
+
+def ch_form_state(circuit: Circuit) -> np.ndarray:
+    state = CHForm(circuit.num_qubits)
+    for gate in circuit.gates:
+        if gate.controls:
+            state.apply_cx(gate.controls[0], gate.target)
+        elif gate.kind is GateKind.H:
+            state.apply_h(gate.target)
+        else:
+            state.apply_s(gate.target)
+    out = np.empty(1 << circuit.num_qubits, dtype=complex)
+    state.write(out)
+    return out
+
+
+def random_clifford_circuits():
+    gen = np.random.default_rng(311)
+    for n in range(1, 7):
+        for _ in range(40):
+            yield random_clifford_circuit(n, int(gen.integers(0, 8 * n + 1)), gen)
+
+
+def test_ch_form_matches_the_oracle_on_random_clifford_circuits():
+    for circuit in random_clifford_circuits():
+        np.testing.assert_allclose(ch_form_state(circuit), build_unitary(circuit)[:, 0],
+                                   rtol=0, atol=1e-12, err_msg=emit_qasm(circuit))
+
+
+def test_every_branch_of_the_h_update_is_hit(monkeypatch):
+    hits = set()
+    decompose, right_cx_cz, right_cx_into = (
+        clifford._h_decompose, CHForm._right_cx_cz, CHForm._right_cx_into)
+    apply_h = CHForm.apply_h
+
+    def recording_decompose(h, delta):
+        hits.add(("decompose", bool(h), bool(h) and delta & 1))
+        return decompose(h, delta)
+
+    def recording_apply_h(self, p):
+        before = len(calls)
+        apply_h(self, p)
+        if len(calls) == before:
+            hits.add("t == u")
+
+    calls = []
+
+    def recording_cx_cz(self, q, cx_targets, cz_partners):
+        calls.append(q)
+        if cx_targets:
+            hits.add("set0 cx")
+        if cz_partners:
+            hits.add("set0 cz")
+        right_cx_cz(self, q, cx_targets, cz_partners)
+
+    def recording_cx_into(self, controls, q):
+        calls.append(q)
+        if controls:
+            hits.add("set1 only cx")
+        right_cx_into(self, controls, q)
+
+    monkeypatch.setattr(clifford, "_h_decompose", recording_decompose)
+    monkeypatch.setattr(CHForm, "apply_h", recording_apply_h)
+    monkeypatch.setattr(CHForm, "_right_cx_cz", recording_cx_cz)
+    monkeypatch.setattr(CHForm, "_right_cx_into", recording_cx_into)
+    for circuit in random_clifford_circuits():
+        np.testing.assert_allclose(ch_form_state(circuit), build_unitary(circuit)[:, 0],
+                                   rtol=0, atol=1e-12, err_msg=emit_qasm(circuit))
+    assert hits == {"t == u", "set0 cx", "set0 cz", "set1 only cx",
+                    ("decompose", False, False), ("decompose", True, 0),
+                    ("decompose", True, 1)}
+
+
+def test_one_row_global_prepare_peaks_below_two_states_at_20_qubits():
+    n = 20
+    draws = draw(global_scheme(), n, [RandomSource(312)])
+    peaks = []
+
+    def prepare():
+        # a new thread starts with an empty scratch, so its allocation counts
+        tracemalloc.start()
+        try:
+            draws.prepare()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=prepare)
+    thread.start()
+    thread.join()
+    assert peaks[0] < 2 * (1 << n) * 16
+
+
+def test_concurrent_one_row_global_prepares_match_sequential_ones():
+    # The CH-form's amplitude scratch is per thread, and numpy releases the
+    # interpreter lock inside its passes over the scratch.
+    n = 12
+    draws = [draw(global_scheme(), n, [RandomSource(313, k)]) for k in range(4)]
+    expected = [d.prepare() for d in draws]
+    results: dict[int, list[np.ndarray]] = {}
+
+    def worker(k: int) -> None:
+        results[k] = [draws[k].prepare() for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(draws))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for k, block in enumerate(expected):
+        for out in results[k]:
+            np.testing.assert_array_equal(out, block)
