@@ -33,7 +33,7 @@ from stimcheck import kernels
 from stimcheck.circuit import Gate, GateKind
 from stimcheck.library import qft
 from stimcheck.simulator import compile_ops, run_ops, simulate, zero_state
-from stimcheck.stimuli import CLASSICAL, LOCAL, RandomSource, draw, gen_global, global_scheme
+from stimcheck.stimuli import CLASSICAL, LOCAL, RandomSource, draw, global_scheme, next_stimulus
 
 # one gate per update class, as a function of (target, num_qubits)
 CLASS_GATES = {
@@ -117,7 +117,7 @@ def main() -> None:
 
     print(f"\n{'circuit':>16} {'gates':>6} {'ops':>6} {'ms/simulate':>12}")
     for label, circuit in (("qft(16)", qft(16)),
-                           ("global n=16", gen_global(16, 16, RandomSource(16)).prep)):
+                           ("global n=16", next_stimulus(global_scheme(), 16, RandomSource(16)).prep)):
         print(f"{label:>16} {circuit.gate_count:>6} {len(compile_ops(circuit)):>6} "
               f"{simulate_ms(circuit, args.repeats):>12.1f}")
 

@@ -1,5 +1,5 @@
 """stimcheck: simulative equivalence checking for quantum circuits via random stimuli."""
-from .circuit import Circuit, Gate, GateKind, base_matrix, gate_count
+from .circuit import Circuit, Gate, GateKind, base_matrix
 from .equivalence import (
     Verdict,
     VerificationConfig,
@@ -17,9 +17,6 @@ from .stimuli import (
     RandomSource,
     Scheme,
     Stimulus,
-    gen_classical,
-    gen_global,
-    gen_local,
     global_scheme,
     next_stimulus,
 )
@@ -27,11 +24,11 @@ from .stimuli import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Circuit", "Gate", "GateKind", "base_matrix", "gate_count",
+    "Circuit", "Gate", "GateKind", "base_matrix",
     "StateVector", "apply_gate", "fidelity", "simulate", "zero_state",
     "ParseDiagnostic", "QasmError", "emit_qasm", "parse_qasm",
     "Scheme", "Stimulus", "RandomSource", "CLASSICAL", "LOCAL", "global_scheme",
-    "gen_classical", "gen_local", "gen_global", "next_stimulus",
+    "next_stimulus",
     "Verdict", "VerificationConfig", "VerificationReport",
     "verify", "verify_exhaustive_local",
     "ErrorOption", "MutationError", "mutate", "is_functional_mutation",

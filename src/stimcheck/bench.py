@@ -6,10 +6,11 @@ one row per (circuit, scheme, error option).
 
 Detection rate p_s is computed over usable instances: instances whose
 mutation is inapplicable are skipped, and mutations the oracle proves
-accidentally equivalent are filtered out and reported separately. The
-average stimulus count is taken over detected instances; avg_time is the
-mean wall clock per stimulus simulation, which isolates the per-scheme
-simulation cost from how many stimuli a scheme happens to need.
+accidentally equivalent are filtered out and reported separately. A row
+with no usable instance has p_s NaN, so that it does not read as 0 %
+detected. The average stimulus count is taken over detected instances;
+avg_time is the mean wall clock per stimulus simulation, which isolates the
+per-scheme simulation cost from how many stimuli a scheme happens to need.
 """
 from __future__ import annotations
 
@@ -140,8 +141,8 @@ def run_benchmark_circuits(
                     num_qubits=circuit.num_qubits,
                     scheme=scheme.kind,
                     error_option=option.label,
-                    p_s=100.0 * p_s if detected_flags else 0.0,
-                    p_s_std=100.0 * p_s_std if detected_flags else 0.0,
+                    p_s=100.0 * p_s,
+                    p_s_std=100.0 * p_s_std,
                     avg_stimuli=avg_s,
                     avg_stimuli_std=avg_s_std,
                     avg_time=avg_t,

@@ -163,7 +163,3 @@ class Circuit:
 
     def prepended(self, *gates: Gate) -> "Circuit":
         return Circuit(self.num_qubits, tuple(gates) + self.gates, self.name)
-
-
-def gate_count(circuit: Circuit) -> int:
-    return circuit.gate_count

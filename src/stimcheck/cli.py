@@ -24,23 +24,13 @@ from .oracle import (
     mean_local_fidelity,
 )
 from .qasm import QasmError, emit_qasm, load_circuit
-from .stimuli import CLASSICAL, LOCAL, RandomSource, Scheme, global_scheme
+from .stimuli import RandomSource, Scheme
 
 EXIT_OK = 0
 EXIT_DETECTED = 1
 EXIT_ERROR = 2
 
 _OPTION_BY_LABEL = {opt.label: opt for opt in ErrorOption}
-
-
-def _scheme_from_args(name: str, layers: int | None) -> Scheme:
-    if name == "classical":
-        return CLASSICAL
-    if name == "local":
-        return LOCAL
-    if name == "global":
-        return global_scheme(layers)
-    raise ValueError(f"unknown scheme {name!r}")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -55,7 +45,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_verify(args) -> int:
     spec = load_circuit(args.spec)
     impl = load_circuit(args.impl)
-    scheme = _scheme_from_args(args.scheme, args.layers)
+    scheme = Scheme(args.scheme, args.layers)
     config = VerificationConfig(scheme, args.max_stimuli, args.epsilon, args.seed)
     report = verify(spec, impl, config)
     detected = report.verdict is Verdict.ERROR_DETECTED
@@ -112,7 +102,8 @@ def _cmd_bench(args) -> int:
     layers = pick(args.layers, "layers", int, None)
     config = BenchmarkConfig(
         circuit_paths=tuple(circuits),
-        schemes=tuple(_scheme_from_args(name, layers) for name in scheme_names),
+        schemes=tuple(Scheme(name, layers if name == "global" else None)
+                      for name in scheme_names),
         error_options=options,
         error_seeds=pick(args.error_seeds, "error_seeds", int, 50),
         stimuli_seeds=pick(args.stimuli_seeds, "stimuli_seeds", int, 5),

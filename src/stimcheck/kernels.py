@@ -1,16 +1,35 @@
-"""The gate-application kernel.
+"""The gate-application kernel: an in-place numpy 2x2 update.
 
-There is one: the numpy 2x2 update in `_kernels_py`. A compiled Cython
-kernel was measured against it end to end and removed: 1.4-1.7x faster on
-small states, 3.1x slower on 16-qubit states, and unable to take a block of
-stimuli. Callers resolve `kernels.apply_2x2` at call time, so tracing
-tools can wrap it here.
+It is the only kernel. A compiled Cython kernel was measured against it end
+to end and removed: 1.4-1.7x faster on small states, 3.1x slower on
+16-qubit states, and unable to take a block of stimuli. Callers resolve
+`kernels.apply_2x2` at call time, so tracing tools can wrap it here.
+
+It takes one state of shape (2^n,) or a block of states of shape (B, 2^n),
+one state per row, and applies the same 2x2 to every row in one call. A
+block must be C-contiguous, so that the rows of an uncontrolled update fold
+into one `(hi, 2, lo)` view. Blocks amortize the per-call cost that
+dominates at small n; from n = 16 on the verifier runs one row per block,
+because wider blocks measured slower per stimulus there.
+
+The anti-diagonal and dense updates write their temporaries into a pair of
+half-state scratch buffers instead of allocating per gate. Each thread has
+its own pair, grown on demand and kept, so it holds one state's worth of
+memory for the largest n that thread simulated. Views of the pair are cached
+per half shape, because at small n building them costs as much as the update.
+Between kernel calls the same memory is lent out as bytes (`scratch_bytes`),
+so the CH-form builds a global stimulus's amplitudes in it and preparing a
+stimulus takes no memory beyond one block and this scratch.
 """
 from __future__ import annotations
 
-from ._kernels_py import BACKEND, apply_2x2, scratch_bytes
+import threading
+
+import numpy as np
 
 __all__ = ["apply_2x2", "available_backends", "backend_name", "scratch_bytes"]
+
+BACKEND = "python"
 
 
 def available_backends() -> tuple[str, ...]:
@@ -19,3 +38,92 @@ def available_backends() -> tuple[str, ...]:
 
 def backend_name() -> str:
     return BACKEND
+
+
+class _Scratch(threading.local):
+    def __init__(self):
+        self.buffer = np.empty(0, dtype=complex)
+        # half shape -> the buffer's two halves viewed in that shape
+        self.views: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+
+
+_scratch = _Scratch()
+
+
+def _scratch_like(x):
+    """Two non-overlapping scratch arrays of `x`'s shape."""
+    scratch = _scratch
+    views = scratch.views.get(x.shape)
+    if views is None:
+        size = x.size
+        if scratch.buffer.size < 2 * size:
+            scratch.buffer = np.empty(2 * size, dtype=complex)
+            scratch.views.clear()
+        buffer = scratch.buffer
+        views = buffer[:size].reshape(x.shape), buffer[size:2 * size].reshape(x.shape)
+        scratch.views[x.shape] = views
+    return views
+
+
+def scratch_bytes(size: int) -> np.ndarray:
+    """This thread's scratch as bytes, at least `size` of them. Its contents
+    are overwritten by the next anti-diagonal or dense update."""
+    scratch = _scratch
+    if scratch.buffer.nbytes < size:
+        scratch.buffer = np.empty(-(-size // scratch.buffer.itemsize), dtype=complex)
+        scratch.views.clear()
+    return scratch.buffer.view(np.uint8)
+
+
+def _halves(amps, num_qubits, target, control_mask):
+    """Views of the amplitudes whose target bit is 0 and 1, restricted to
+    indices where all control bits are set, across every row."""
+    if not control_mask:
+        view = amps.reshape(-1, 2, 1 << target)
+        return view[:, 0], view[:, 1]
+    n = num_qubits
+    # axis 0 holds the rows (one for a single state); it also keeps each half
+    # a view when every other qubit is a control. Qubit q is on axis n - q.
+    view = amps.reshape(-1, *(2,) * n)
+    index = [slice(None)] * (n + 1)
+    mask = control_mask
+    while mask:
+        low = mask & -mask
+        index[n + 1 - low.bit_length()] = 1
+        mask ^= low
+    t_axis = n - target
+    index[t_axis] = 0
+    x0 = view[tuple(index)]
+    index[t_axis] = 1
+    return x0, view[tuple(index)]
+
+
+def apply_2x2(amps, num_qubits, target, control_mask, m00, m01, m10, m11):
+    """Apply a 2x2 matrix to `target` of one state or of every row of a
+    block, restricted to indices where all control bits are set. Mutates
+    `amps` in place.
+
+    The update is the cheapest one the matrix's exact zeros allow: a
+    diagonal matrix scales each half, an anti-diagonal one swaps them, and
+    only a dense one mixes them."""
+    x0, x1 = _halves(amps, num_qubits, target, control_mask)
+    if m01 == 0 and m10 == 0:
+        if m00 != 1:
+            x0 *= m00
+        if m11 != 1:
+            x1 *= m11
+    elif m00 == 0 and m11 == 0:
+        s0, _ = _scratch_like(x0)
+        np.multiply(x0, m10, out=s0)
+        # A ufunc with `out` resolves the halves' interleaved overlap exactly;
+        # `x0[...] = x1` would copy x1 to a temporary first.
+        np.multiply(x1, m01, out=x0)
+        x1[...] = s0
+    else:
+        s0, s1 = _scratch_like(x0)
+        np.multiply(x0, m10, out=s0)
+        x0 *= m00
+        x0 += np.multiply(x1, m01, out=s1)
+        x1 *= m11
+        x1 += s0
+

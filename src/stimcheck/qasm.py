@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .circuit import Circuit, Gate, GateKind
 
@@ -32,16 +33,18 @@ class QasmError(Exception):
         self.diagnostic = diagnostic
 
 
+# The last alternative matches any character the others do not, so that
+# `finditer` leaves no gaps and reports it as unexpected.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
+    (?P<skip>\s+|//[^\n]*)
   | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_.]*)
   | (?P<string>"[^"]*")
   | (?P<punct>[;,\[\]()*/\-])
+  | (?P<other>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 # (kind, qubit arity, param arity); cx/ccx map onto controlled X
@@ -70,40 +73,35 @@ _GATE_TABLE = {
 _MAX_INT_DIGITS = 18
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    offset: int  # into the source; line and column are found only for a diagnostic
+
+
+def _diagnostic(source: str, offset: int, message: str) -> QasmError:
+    """An error at `offset`, with its 1-based line and column."""
+    line = source.count("\n", 0, offset) + 1
+    column = offset - source.rfind("\n", 0, offset)
+    return QasmError(ParseDiagnostic(line, column, message))
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise QasmError(ParseDiagnostic(line, col, f"unexpected character {source[pos]!r}"))
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        if kind == "other":
+            raise _diagnostic(source, m.start(), f"unexpected character {m.group()!r}")
+        if kind != "skip":
+            tokens.append(_Token(kind, m.group(), m.start()))
+    tokens.append(_Token("eof", "", len(source)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -117,7 +115,7 @@ class _Parser:
 
     def fail(self, message: str, tok: _Token | None = None):
         tok = tok or self.peek()
-        raise QasmError(ParseDiagnostic(tok.line, tok.column, message))
+        raise _diagnostic(self.source, tok.offset, message)
 
     def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.peek()
@@ -246,7 +244,7 @@ class _Parser:
 
 def parse_qasm(source: str) -> Circuit:
     """Parse the QASM subset. Raises QasmError carrying a ParseDiagnostic."""
-    return _Parser(_tokenize(source)).parse()
+    return _Parser(source).parse()
 
 
 def load_circuit(path: str | Path) -> Circuit:

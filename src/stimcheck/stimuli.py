@@ -19,8 +19,7 @@ block of one row (every block from n = 16 on, where the verifier caps
 blocks) is a stabilizer state, which `clifford.CHForm` tracks gate by gate
 in polynomial time before writing its amplitudes once. `Draws.prep`
 rebuilds one row's preparation circuit, which the verifier does only for a
-witness; `gen_*` and `next_stimulus` are draws of one row turned into a
-`Stimulus`.
+witness; `next_stimulus` is a draw of one row turned into a `Stimulus`.
 """
 from __future__ import annotations
 
@@ -145,19 +144,23 @@ _CLIFFORD_ENTRIES = _word_entries(CLIFFORD_1Q_WORDS)
 def _draw_global(num_qubits: int, layers: int, gen: np.random.Generator):
     """Each sub-round's Clifford word index per qubit, then its CNOT
     (control, target) pairs: uniform word draws, a uniform permutation
-    matched in consecutive pairs, and a fair coin for each orientation."""
-    integers, random = gen.integers, gen.random
+    matched in consecutive pairs, and a fair coin for each orientation.
+
+    Each layer runs two sub-rounds. Two per layer were chosen empirically:
+    with one sub-round the ensemble average of the outcome fidelity still
+    deviates from the average gate fidelity by ~0.08 at l = n = 4, with two
+    it agrees within sampling error.
+
+    A sub-round draws its n words in one `integers` call and its n // 2
+    coins in one `random` call; on PCG64 these give the values of n and
+    n // 2 scalar calls, which `test_global_draws_are_golden` pins."""
     words, pairs = [], []
     for _ in range(2 * layers):
-        words.append([integers(0, 24) for _ in range(num_qubits)])
+        words.append(gen.integers(0, 24, size=num_qubits).tolist())
         order = gen.permutation(num_qubits).tolist()
-        matching = []
-        for k in range(num_qubits // 2):
-            a, b = order[2 * k], order[2 * k + 1]
-            if random() < 0.5:
-                a, b = b, a
-            matching.append((a, b))
-        pairs.append(matching)
+        coins = gen.random(num_qubits // 2).tolist()
+        pairs.append([(b, a) if coin < 0.5 else (a, b)
+                      for a, b, coin in zip(order[::2], order[1::2], coins)])
     return words, pairs
 
 
@@ -186,7 +189,7 @@ class Draws:
         return self.choices.shape[-1]
 
     def prep(self, row: int) -> Circuit:
-        """Preparation circuit of one row, gate for gate what `gen_*` builds."""
+        """Preparation circuit of one row."""
         n = self.num_qubits
         choice = self.choices[row].tolist()
         if self.scheme.kind == "classical":
@@ -287,8 +290,8 @@ def _cnot_layer(block: np.ndarray, n: int, pairs: np.ndarray) -> np.ndarray:
 
 def draw(scheme: Scheme, num_qubits: int, sources: Sequence[RandomSource]) -> Draws:
     """Draw one stimulus from each source in turn, in the order given; a
-    source listed k times gives k consecutive stimuli of its stream. The
-    draws are the ones `gen_*` makes, call for call."""
+    source listed k times gives k consecutive stimuli of its stream, the
+    ones `next_stimulus` would draw from it one at a time."""
     gens = [source.gen for source in sources]
     if scheme.kind == "global":
         layers = scheme.layers if scheme.layers is not None else num_qubits
@@ -305,11 +308,6 @@ def draw(scheme: Scheme, num_qubits: int, sources: Sequence[RandomSource]) -> Dr
                                   dtype=np.intp))
 
 
-def gen_classical(num_qubits: int, rng: RandomSource, seed_tag: str = "") -> Stimulus:
-    """Uniform computational basis state: X on each qubit whose bit is 1."""
-    return draw(CLASSICAL, num_qubits, [rng]).stimulus(0, seed_tag or rng.label)
-
-
 def local_prep(choice) -> Circuit:
     """Preparation circuit putting qubit q in state LOCAL_PREP_WORDS[choice[q]]."""
     gates = tuple(
@@ -318,27 +316,17 @@ def local_prep(choice) -> Circuit:
     return Circuit(len(choice), gates, name="local-stimulus")
 
 
-def gen_local(num_qubits: int, rng: RandomSource, seed_tag: str = "") -> Stimulus:
-    """Independent uniform draw of one of the six single-qubit states per qubit."""
-    return draw(LOCAL, num_qubits, [rng]).stimulus(0, seed_tag or rng.label)
-
-
-def gen_global(
-    num_qubits: int, layers: int, rng: RandomSource, seed_tag: str = ""
-) -> Stimulus:
-    """Layered random Clifford preparation over {H, S, CNOT}.
-
-    Each layer runs two sub-rounds of (uniform single-qubit Clifford word per
-    qubit, then CNOTs on a uniformly random perfect-as-possible matching with
-    random orientation). Two sub-rounds per layer were chosen empirically:
-    with one sub-round the ensemble average of the outcome fidelity still
-    deviates from the average gate fidelity by ~0.08 at l = n = 4, with two
-    it agrees within sampling error.
-    """
-    return draw(global_scheme(layers), num_qubits, [rng]).stimulus(0, seed_tag or rng.label)
-
-
 def next_stimulus(
     scheme: Scheme, num_qubits: int, rng: RandomSource, seed_tag: str = ""
 ) -> Stimulus:
+    """The next stimulus of `scheme` from `rng`'s stream, tagged `seed_tag`
+    or, by default, the stream's label:
+
+    - classical: a uniform computational basis state, X on each qubit whose
+      bit is 1;
+    - local: one of the six single-qubit states per qubit, each drawn
+      independently and uniformly;
+    - global: a layered random Clifford preparation over {H, S, CNOT}, drawn
+      as `_draw_global` describes.
+    """
     return draw(scheme, num_qubits, [rng]).stimulus(0, seed_tag or rng.label)

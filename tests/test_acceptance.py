@@ -30,8 +30,8 @@ from stimcheck.stimuli import (
     LOCAL,
     RandomSource,
     draw,
-    gen_local,
     global_scheme,
+    next_stimulus,
 )
 
 
@@ -122,7 +122,7 @@ def test_local_first_stimulus_detection_rate_is_two_thirds():
         for k in range(draws):
             base = random_circuit(2, 6, RandomSource(seed_base, k, 0))
             impl = _with_input_error(base, kind)
-            stim = gen_local(2, RandomSource(seed_base, k, 1))
+            stim = next_stimulus(LOCAL, 2, RandomSource(seed_base, k, 1))
             prepared = simulate(stim.prep, zero_state(2))
             a = simulate(base, prepared)
             b = simulate(impl, prepared)

@@ -68,7 +68,7 @@ def test_unusable_instances_are_skipped():
     for row in rows:
         assert row.skipped == row.total
         assert math.isnan(row.avg_stimuli)
-        assert row.p_s == 0.0
+        assert math.isnan(row.p_s) and math.isnan(row.p_s_std)
 
 
 def test_equivalent_mutations_are_filtered():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stimcheck.circuit import Circuit, Gate, GateKind, base_matrix, gate_count
+from stimcheck.circuit import Circuit, Gate, GateKind, base_matrix
 
 SQRT2_INV = 1 / math.sqrt(2)
 
@@ -66,18 +66,18 @@ def example3_circuit() -> Circuit:
 
 
 def test_gate_count_empty():
-    assert gate_count(Circuit(3)) == 0
+    assert Circuit(3).gate_count == 0
 
 
 def test_gate_count_two_gate_circuit():
-    assert gate_count(example3_circuit()) == 2
+    assert example3_circuit().gate_count == 2
 
 
 def test_gate_count_additive_after_toffoli_insertion():
     circuit = example3_circuit()
     toffolis = tuple(Gate(GateKind.X, 2, controls=(0, 1)) for _ in range(10))
     grown = Circuit(3, circuit.gates + toffolis)
-    assert gate_count(grown) == 12
+    assert grown.gate_count == 12
 
 
 def test_gate_rejects_duplicate_qubits():

@@ -71,6 +71,15 @@ class TestVerify:
         assert code == EXIT_OK
         assert "scheme: classical" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--scheme", "local", "--layers", "3"], "layers only apply to the global scheme"),
+        (["--scheme", "global", "--layers", "0"], "layer count must be positive"),
+    ], ids=["local-layers", "global-zero-layers"])
+    def test_invalid_layers_exit_two(self, ghz_file, capsys, flags, message):
+        assert main(["verify", ghz_file, ghz_file, *flags]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
 
 class TestBench:
     ARGS = ["--error-seeds", "2", "--stimuli-seeds", "1", "--max-stimuli", "4",
@@ -89,6 +98,16 @@ class TestBench:
         with open(out, newline="") as fh:
             records = list(csv.reader(fh))
         assert len(records) == 1 + 2  # header + 1 option x 2 schemes
+
+    def test_layers_apply_to_global_only(self, ghz_file, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code = main(["bench", ghz_file, "--error-seeds", "1", "--stimuli-seeds", "1",
+                     "--max-stimuli", "2", "--options", "insert_1", "--layers", "3",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        with open(out, newline="") as fh:
+            records = list(csv.reader(fh))
+        assert [record[2] for record in records[1:]] == ["classical", "local", "global"]
 
     def test_no_circuits_is_an_error(self, capsys):
         assert main(["bench"]) == EXIT_ERROR

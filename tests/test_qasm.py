@@ -37,6 +37,22 @@ def test_unknown_gate_diagnostic_points_at_token():
     assert "foo" in diag.message
 
 
+@pytest.mark.parametrize("text,position,message", [
+    # an unexpected character on line 3, after a comment line
+    ("OPENQASM 2.0;\n// qreg r[2];\n  qreg q[1]; $x q[0];\n", (3, 14), "unexpected character '$'"),
+    # a missing ';' at the end of input, on the last line
+    ("OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1]", (4, 13), "expected ';', found 'end of input'"),
+    # an error after a run of blank lines
+    ("OPENQASM 2.0;\n\n\n\nqreg q[2];\n\n\n\n\n   cz q[0],q[1];\n", (10, 4), "unknown gate 'cz'"),
+], ids=["character-after-comment", "semicolon-at-end", "after-blank-lines"])
+def test_diagnostic_positions(text, position, message):
+    with pytest.raises(QasmError) as exc:
+        parse_qasm(text)
+    diag = exc.value.diagnostic
+    assert (diag.line, diag.column) == position
+    assert diag.message == message
+
+
 def test_qubit_index_out_of_range():
     with pytest.raises(QasmError) as exc:
         parse_qasm("OPENQASM 2.0; qreg q[2]; x q[2];")

@@ -19,7 +19,7 @@ from stimcheck.simulator import (
     simulate,
     zero_state,
 )
-from stimcheck.stimuli import RandomSource, gen_global
+from stimcheck.stimuli import RandomSource, global_scheme, next_stimulus
 
 SQRT2_INV = 1 / math.sqrt(2)
 
@@ -261,7 +261,7 @@ def test_simulate_leaves_initial_unmutated():
 
 def test_global_stimulus_fuses_into_under_half_as_many_kernel_calls(monkeypatch):
     n = 16
-    prep = gen_global(n, n, RandomSource(8)).prep
+    prep = next_stimulus(global_scheme(n), n, RandomSource(8)).prep
     calls = 0
     apply_2x2 = kernels.apply_2x2
 

@@ -21,9 +21,6 @@ from stimcheck.stimuli import (
     RandomSource,
     Scheme,
     draw,
-    gen_classical,
-    gen_global,
-    gen_local,
     global_scheme,
     next_stimulus,
 )
@@ -130,7 +127,7 @@ class TestClifford1qWords:
 class TestClassical:
     def test_only_x_gates_and_basis_output(self):
         for k in range(50):
-            stim = gen_classical(4, RandomSource(100, k))
+            stim = next_stimulus(CLASSICAL, 4, RandomSource(100, k))
             assert all(g.kind == GateKind.X and not g.controls for g in stim.prep.gates)
             amps = simulate(stim.prep, zero_state(4)).amplitudes
             assert np.count_nonzero(amps) == 1
@@ -139,7 +136,7 @@ class TestClassical:
         n, draws = 3, 4000
         counts = np.zeros(2**n)
         for k in range(draws):
-            stim = gen_classical(n, RandomSource(7, k))
+            stim = next_stimulus(CLASSICAL, n, RandomSource(7, k))
             amps = simulate(stim.prep, zero_state(n)).amplitudes
             counts[int(np.argmax(np.abs(amps)))] += 1
         p = 1 / 2**n
@@ -147,15 +144,15 @@ class TestClassical:
         assert np.all(np.abs(counts - draws * p) < 4 * sigma)
 
     def test_determinism(self):
-        a = gen_classical(5, RandomSource(9, 1))
-        b = gen_classical(5, RandomSource(9, 1))
+        a = next_stimulus(CLASSICAL, 5, RandomSource(9, 1))
+        b = next_stimulus(CLASSICAL, 5, RandomSource(9, 1))
         assert emit_qasm(a.prep) == emit_qasm(b.prep)
 
 
 class TestLocal:
     def test_product_of_six_states(self):
         for k in range(30):
-            stim = gen_local(3, RandomSource(11, k))
+            stim = next_stimulus(LOCAL, 3, RandomSource(11, k))
             amps = simulate(stim.prep, zero_state(3)).amplitudes
             # every amplitude magnitude is a power of 1/sqrt(2)
             mags = np.abs(amps[np.abs(amps) > 1e-12])
@@ -171,25 +168,25 @@ class TestLocal:
             for k in range(2000):
                 if (i, j) in seen:
                     break
-                stim = gen_local(2, RandomSource(13, k))
+                stim = next_stimulus(LOCAL, 2, RandomSource(13, k))
                 amps = simulate(stim.prep, zero_state(2)).amplitudes
                 if abs(abs(np.vdot(target, amps)) - 1.0) < 1e-9:
                     seen.add((i, j))
         assert seen == expected
 
     def test_determinism(self):
-        a = gen_local(6, RandomSource(21, 4))
-        b = gen_local(6, RandomSource(21, 4))
+        a = next_stimulus(LOCAL, 6, RandomSource(21, 4))
+        b = next_stimulus(LOCAL, 6, RandomSource(21, 4))
         assert emit_qasm(a.prep) == emit_qasm(b.prep)
 
 
 class TestGlobal:
     def test_single_qubit_has_no_cnots(self):
-        stim = gen_global(1, 3, RandomSource(31))
+        stim = next_stimulus(global_scheme(3), 1, RandomSource(31))
         assert all(not g.controls for g in stim.prep.gates)
 
     def test_gate_kinds_restricted_to_h_s_cx(self):
-        stim = gen_global(4, 4, RandomSource(33))
+        stim = next_stimulus(global_scheme(4), 4, RandomSource(33))
         for g in stim.prep.gates:
             if g.controls:
                 assert g.kind == GateKind.X and len(g.controls) == 1
@@ -198,7 +195,7 @@ class TestGlobal:
 
     def test_gate_count_bounds(self):
         n, layers = 5, 3
-        stim = gen_global(n, layers, RandomSource(35))
+        stim = next_stimulus(global_scheme(layers), n, RandomSource(35))
         max_word = max(len(w) for w in CLIFFORD_1Q_WORDS)
         upper = layers * 2 * (n * max_word + n // 2)
         assert stim.prep.gate_count <= upper
@@ -206,18 +203,18 @@ class TestGlobal:
     def test_outputs_are_stabilizer_states(self):
         # amplitudes of H/S/CNOT circuits on |0...0> have magnitude 0 or 2^(-k/2)
         for k in range(20):
-            stim = gen_global(3, 3, RandomSource(37, k))
+            stim = next_stimulus(global_scheme(3), 3, RandomSource(37, k))
             amps = simulate(stim.prep, zero_state(3)).amplitudes
             mags = np.abs(amps[np.abs(amps) > 1e-9])
             assert np.allclose(mags, mags[0], atol=1e-9)
 
     def test_layer_validation(self):
         with pytest.raises(ValueError):
-            gen_global(2, 0, RandomSource(0))
+            next_stimulus(global_scheme(0), 2, RandomSource(0))
 
     def test_determinism(self):
-        a = gen_global(4, 4, RandomSource(41, 2))
-        b = gen_global(4, 4, RandomSource(41, 2))
+        a = next_stimulus(global_scheme(4), 4, RandomSource(41, 2))
+        b = next_stimulus(global_scheme(4), 4, RandomSource(41, 2))
         assert emit_qasm(a.prep) == emit_qasm(b.prep)
 
 
@@ -259,11 +256,37 @@ def test_block_rows_match_simulated_next_stimulus(n, scheme):
             k += 1
 
 
-def test_draw_rows_from_separate_streams_match_gen_global():
+def test_draw_rows_from_separate_streams_match_next_stimulus():
     sources = [RandomSource(301, k) for k in range(5)]
     draws = draw(global_scheme(2), 4, sources)
     for row in range(5):
-        assert draws.prep(row) == gen_global(4, 2, RandomSource(301, row)).prep
+        assert draws.prep(row) == next_stimulus(global_scheme(2), 4, RandomSource(301, row)).prep
+
+
+# One layer (two sub-rounds) of global draws from RandomSource(2024, seed), as
+# recorded from one scalar generator call per word and per coin: the words of
+# each sub-round, then its (control, target) pairs. A numpy whose PCG64
+# streams or bounded-integer draws differ changes every global stimulus,
+# witness and seed tag, and fails here first.
+GOLDEN_GLOBAL_DRAWS = [
+    (1, 11, [[23], [12]], [[], []]),
+    (4, 12, [[20, 15, 10, 4], [12, 14, 7, 21]],
+     [[(0, 2), (1, 3)], [(2, 0), (1, 3)]]),
+    (7, 13, [[14, 9, 0, 10, 22, 12, 23], [17, 2, 10, 4, 4, 1, 18]],
+     [[(2, 6), (0, 3), (5, 4)], [(5, 6), (0, 3), (1, 2)]]),
+    (16, 14, [[3, 8, 20, 7, 0, 18, 7, 18, 9, 9, 4, 18, 12, 15, 1, 11],
+              [10, 0, 15, 7, 22, 3, 8, 9, 3, 23, 7, 8, 22, 0, 0, 1]],
+     [[(1, 14), (2, 5), (10, 3), (12, 8), (6, 13), (4, 0), (11, 15), (9, 7)],
+      [(7, 0), (1, 12), (9, 5), (4, 13), (15, 10), (14, 3), (8, 2), (11, 6)]]),
+]
+
+
+@pytest.mark.parametrize("n,seed,words,pairs", GOLDEN_GLOBAL_DRAWS,
+                         ids=[f"n{case[0]}" for case in GOLDEN_GLOBAL_DRAWS])
+def test_global_draws_are_golden(n, seed, words, pairs):
+    draws = draw(global_scheme(1), n, [RandomSource(2024, seed)])
+    assert draws.choices[0].tolist() == words
+    assert [[tuple(pair) for pair in rnd] for rnd in draws.pairs[0].tolist()] == pairs
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
