@@ -18,7 +18,8 @@ verifier's block stimulus engine.
    max-qubits: the time per `Draws.prepare` of a one-row block, which goes
    through the stabilizer CH-form, against simulating the same preparation
    circuit gate by gate with `simulate`; and at n = 12 the time per row of a
-   16-row block, which `verify` prepares with broadcast updates instead.
+   16-row block, whose rows each go through their own CH-form, as in
+   `verify`.
 
 Usage: python3 benchmarks/kernel_benchmark.py [--max-qubits N] [--repeats R]
 """
@@ -141,7 +142,7 @@ def main() -> None:
         print(f"{n:>6} {ch * 1e3:>10.2f} {kernel * 1e3:>10.2f}")
     rows = 16
     block = draw(global_scheme(), 12, [RandomSource(5, 12)] * rows)
-    print(f"block of {rows} rows at n = 12: "
+    print(f"block of {rows} rows at n = 12, one CH-form per row: "
           f"{best_seconds(block.prepare, args.repeats) / rows * 1e3:.2f} ms per row")
 
 

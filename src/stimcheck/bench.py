@@ -17,12 +17,12 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit
-from .equivalence import Verdict, VerificationConfig, verify
+from .equivalence import DEFAULT_EPSILON, DEFAULT_MAX_STIMULI, Verdict, VerificationConfig, verify
 from .mutation import ErrorOption, MutationError, is_functional_mutation, mutate
 from .qasm import load_circuit
 from .stimuli import RandomSource, Scheme
@@ -41,8 +41,8 @@ class BenchmarkConfig:
     error_options: tuple[ErrorOption, ...] = tuple(ErrorOption)
     error_seeds: int = 50
     stimuli_seeds: int = 5
-    max_stimuli: int = 16
-    epsilon: float = 1e-8
+    max_stimuli: int = DEFAULT_MAX_STIMULI
+    epsilon: float = DEFAULT_EPSILON
     output_path: str | None = None
     master_seed: int = 0
 

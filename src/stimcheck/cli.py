@@ -11,9 +11,15 @@ import sys
 from pathlib import Path
 
 from .bench import BenchmarkConfig, run_benchmark, write_csv
-from .equivalence import Verdict, VerificationConfig, verify
+from .equivalence import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_STIMULI,
+    Verdict,
+    VerificationConfig,
+    verify,
+)
 from .library import ghz, qft, random_circuit
-from .mutation import ErrorOption, MutationError, mutate
+from .mutation import EQUIVALENCE_MARGIN, ErrorOption, MutationError, mutate
 from .oracle import (
     OMEGA_LIMIT,
     ORACLE_LIMIT,
@@ -24,7 +30,7 @@ from .oracle import (
     mean_local_fidelity,
 )
 from .qasm import QasmError, emit_qasm, load_circuit
-from .stimuli import RandomSource, Scheme
+from .stimuli import SCHEME_KINDS, RandomSource, Scheme
 
 EXIT_OK = 0
 EXIT_DETECTED = 1
@@ -34,11 +40,11 @@ _OPTION_BY_LABEL = {opt.label: opt for opt in ErrorOption}
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scheme", choices=["classical", "local", "global"], default="global")
+    parser.add_argument("--scheme", choices=SCHEME_KINDS, default="global")
     parser.add_argument("--layers", type=int, default=None,
                         help="layer count for the global scheme (default: one per qubit)")
-    parser.add_argument("--max-stimuli", type=int, default=16)
-    parser.add_argument("--epsilon", type=float, default=1e-8)
+    parser.add_argument("--max-stimuli", type=int, default=DEFAULT_MAX_STIMULI)
+    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -90,8 +96,7 @@ def _cmd_bench(args) -> int:
         print("error: no circuit files given", file=sys.stderr)
         return EXIT_ERROR
 
-    scheme_names = pick(args.schemes, "schemes",
-                        lambda s: s.split(","), ["classical", "local", "global"])
+    scheme_names = pick(args.schemes, "schemes", lambda s: s.split(","), SCHEME_KINDS)
     option_labels = pick(args.options, "error_options",
                          lambda s: s.split(","), list(_OPTION_BY_LABEL))
     try:
@@ -105,12 +110,13 @@ def _cmd_bench(args) -> int:
         schemes=tuple(Scheme(name, layers if name == "global" else None)
                       for name in scheme_names),
         error_options=options,
-        error_seeds=pick(args.error_seeds, "error_seeds", int, 50),
-        stimuli_seeds=pick(args.stimuli_seeds, "stimuli_seeds", int, 5),
-        max_stimuli=pick(args.max_stimuli, "max_stimuli", int, 16),
-        epsilon=pick(args.epsilon, "epsilon", float, 1e-8),
-        output_path=pick(args.out, "output_path", str, None),
-        master_seed=pick(args.seed, "master_seed", int, 0),
+        error_seeds=pick(args.error_seeds, "error_seeds", int, BenchmarkConfig.error_seeds),
+        stimuli_seeds=pick(args.stimuli_seeds, "stimuli_seeds", int,
+                           BenchmarkConfig.stimuli_seeds),
+        max_stimuli=pick(args.max_stimuli, "max_stimuli", int, BenchmarkConfig.max_stimuli),
+        epsilon=pick(args.epsilon, "epsilon", float, BenchmarkConfig.epsilon),
+        output_path=pick(args.out, "output_path", str, BenchmarkConfig.output_path),
+        master_seed=pick(args.seed, "master_seed", int, BenchmarkConfig.master_seed),
     )
     rows = run_benchmark(config)
     if args.format == "csv" and not config.output_path:
@@ -192,7 +198,7 @@ def _cmd_oracle_check(args) -> int:
     if n <= OMEGA_LIMIT:
         print(f"entanglement fidelity via |Omega>: {ent_fidelity_via_omega(spec, impl):.12f}")
     print(f"mean fidelity over all 6^{n} local stimuli: {mean_local_fidelity(spec, impl):.12f}")
-    equivalent = f_avg > 1.0 - 1e-10
+    equivalent = f_avg > 1.0 - EQUIVALENCE_MARGIN
     print(f"functionally equivalent: {'yes' if equivalent else 'no'}")
     return EXIT_OK
 

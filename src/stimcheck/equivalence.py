@@ -7,9 +7,9 @@ compiles the specification and the realization once. Stimuli are drawn and
 prepared as blocks of B rows of a (B, 2^n) array, with B = 1, 2, 4, 8, ...
 capped by the remaining budget, so that an early detection wastes at most
 the rest of its block. A block holds at most BLOCK_AMPS amplitudes, so from
-n = 16 on every block has one row; a one-row global block is prepared as
-a stabilizer CH-form (`clifford`), gate by gate in time polynomial in n,
-whose 2^n amplitudes are written once. The specification runs in place on
+n = 16 on every block has one row. Each global row is prepared as a
+stabilizer CH-form (`clifford`), gate by gate in time polynomial in n, and
+its 2^n amplitudes are written once. The specification runs in place on
 the prepared block and the realization on one copy, so two blocks are
 live; both are freed before the next block is prepared. Only the row that
 detects an error gets its preparation circuit rebuilt, as the witness,
@@ -140,16 +140,13 @@ def verify(spec: Circuit, impl: Circuit, config: VerificationConfig) -> Verifica
 
 
 def verify_exhaustive_local(
-    spec: Circuit,
-    impl: Circuit,
-    epsilon: float = DEFAULT_EPSILON,
-    limit: int = EXHAUSTIVE_LOCAL_LIMIT,
+    spec: Circuit, impl: Circuit, epsilon: float = DEFAULT_EPSILON
 ) -> VerificationReport:
     """Enumerate all 6^n local stimuli without repetition."""
     _check_compatible(spec, impl)
     n = spec.num_qubits
-    if n > limit:
-        raise ValueError(f"{n} qubits exceeds the exhaustive limit of {limit}")
+    if n > EXHAUSTIVE_LOCAL_LIMIT:
+        raise ValueError(f"{n} qubits exceeds the exhaustive limit of {EXHAUSTIVE_LOCAL_LIMIT}")
     choices = itertools.product(range(6), repeat=n)
     return _run_blocks(
         spec, impl, 6 ** n,

@@ -82,14 +82,12 @@ def mutate(circuit: Circuit, option: ErrorOption, rng: RandomSource) -> Circuit:
     return Circuit(n, circuit.gates + tuple(toffolis), name)
 
 
-def is_functional_mutation(
-    spec: Circuit, mutated: Circuit, limit: int = ORACLE_LIMIT
-) -> bool | None:
+def is_functional_mutation(spec: Circuit, mutated: Circuit) -> bool | None:
     """True if the mutation changed the circuit's functionality, judged by the
     oracle's average gate fidelity. None when the circuit is too large to check."""
     if spec.num_qubits != mutated.num_qubits:
         return True
-    if spec.num_qubits > limit:
+    if spec.num_qubits > ORACLE_LIMIT:
         return None
-    f = avg_fidelity(build_unitary(spec, limit), build_unitary(mutated, limit))
+    f = avg_fidelity(build_unitary(spec), build_unitary(mutated))
     return f < 1.0 - EQUIVALENCE_MARGIN

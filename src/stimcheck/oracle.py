@@ -10,10 +10,9 @@ import functools
 
 import numpy as np
 
-from .circuit import Circuit, Gate
-from .simulator import StateVector, fidelity, simulate, zero_state
+from .circuit import Circuit, Gate, base_matrix
+from .simulator import StateVector, fidelity, simulate
 from .stimuli import LOCAL_PREP_WORDS
-from .circuit import base_matrix
 
 ORACLE_LIMIT = 6
 OMEGA_LIMIT = 4
@@ -44,9 +43,9 @@ def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
     return full
 
 
-def build_unitary(circuit: Circuit, limit: int = ORACLE_LIMIT) -> np.ndarray:
+def build_unitary(circuit: Circuit) -> np.ndarray:
     """Ordered product U_{m-1} ... U_0 of the circuit's gate matrices."""
-    _check_limit(circuit.num_qubits, limit)
+    _check_limit(circuit.num_qubits, ORACLE_LIMIT)
     dim = 1 << circuit.num_qubits
     unitary = np.eye(dim, dtype=complex)
     for gate in circuit.gates:
@@ -85,13 +84,13 @@ def omega_state(num_qubits: int) -> StateVector:
     return StateVector(2 * n, amps)
 
 
-def ent_fidelity_via_omega(spec: Circuit, impl: Circuit, limit: int = OMEGA_LIMIT) -> float:
+def ent_fidelity_via_omega(spec: Circuit, impl: Circuit) -> float:
     """State-level route to the entanglement fidelity: apply both circuits to
     the first half of the maximally entangled 2n-qubit state."""
     if spec.num_qubits != impl.num_qubits:
         raise ValueError("qubit counts differ")
     n = spec.num_qubits
-    _check_limit(n, limit)
+    _check_limit(n, OMEGA_LIMIT)
     omega = omega_state(n)
 
     def extended(circuit: Circuit) -> Circuit:
@@ -123,13 +122,13 @@ def _local_state_matrix(num_qubits: int) -> np.ndarray:
     return states
 
 
-def mean_local_fidelity(spec: Circuit, impl: Circuit, limit: int = ORACLE_LIMIT) -> float:
+def mean_local_fidelity(spec: Circuit, impl: Circuit) -> float:
     """Exact average of F(U|l>, V|l>) over all 6^n local stimuli."""
     if spec.num_qubits != impl.num_qubits:
         raise ValueError("qubit counts differ")
     n = spec.num_qubits
-    _check_limit(n, limit)
-    diff = build_unitary(spec, limit).conj().T @ build_unitary(impl, limit)
+    _check_limit(n, ORACLE_LIMIT)
+    diff = build_unitary(spec).conj().T @ build_unitary(impl)
     states = _local_state_matrix(n)
     overlaps = np.einsum("ij,ij->i", states.conj(), states @ diff.T)
     return float(np.mean(np.abs(overlaps) ** 2))

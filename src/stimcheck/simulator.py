@@ -34,23 +34,23 @@ class StateVector:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
 
-def check_qubits(num_qubits: int, max_qubits: int = MAX_QUBITS) -> None:
+def check_qubits(num_qubits: int) -> None:
     """Reject qubit counts that cannot be simulated, before any memory is taken."""
     if num_qubits < 1:
         raise ValueError(f"num_qubits must be positive, got {num_qubits}")
-    if num_qubits > max_qubits:
-        raise ValueError(f"{num_qubits} qubits exceeds the configured maximum of {max_qubits}")
+    if num_qubits > MAX_QUBITS:
+        raise ValueError(f"{num_qubits} qubits exceeds the configured maximum of {MAX_QUBITS}")
 
 
-def zero_state(num_qubits: int, max_qubits: int = MAX_QUBITS) -> StateVector:
-    check_qubits(num_qubits, max_qubits)
+def zero_state(num_qubits: int) -> StateVector:
+    check_qubits(num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
 
 
-def basis_state(num_qubits: int, index: int, max_qubits: int = MAX_QUBITS) -> StateVector:
-    state = zero_state(num_qubits, max_qubits)
+def basis_state(num_qubits: int, index: int) -> StateVector:
+    state = zero_state(num_qubits)
     if not 0 <= index < (1 << num_qubits):
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     state.amplitudes[0] = 0.0

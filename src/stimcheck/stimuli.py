@@ -13,13 +13,11 @@ sub-round. It makes the same generator calls, in the same order and with
 the same sizes, as drawing each stimulus on its own, so a stimulus does not
 depend on the block it is drawn in. `Draws.prepare` builds the prepared
 states directly as a (B, 2^n) block: one amplitude per row for classical,
-an outer product of single-qubit states for local, and for global a per-row
-2x2 per qubit and a per-row index permutation per CNOT layer. A global
-block of one row (every block from n = 16 on, where the verifier caps
-blocks) is a stabilizer state, which `clifford.CHForm` tracks gate by gate
-in polynomial time before writing its amplitudes once. `Draws.prep`
-rebuilds one row's preparation circuit, which the verifier does only for a
-witness; `next_stimulus` is a draw of one row turned into a `Stimulus`.
+and an outer product of single-qubit states for local. A global row is a
+stabilizer state, which `clifford.CHForm` tracks gate by gate in polynomial
+time before writing the row's amplitudes once. `Draws.prep` rebuilds one
+row's preparation circuit, which the verifier does only for a witness;
+`next_stimulus` is a draw of one row turned into a `Stimulus`.
 """
 from __future__ import annotations
 
@@ -32,7 +30,7 @@ from .circuit import Circuit, Gate, GateKind, gate_entries
 from .clifford import CHForm
 from .simulator import compile_ops
 
-_VALID_SCHEMES = ("classical", "local", "global")
+SCHEME_KINDS = ("classical", "local", "global")
 
 
 @dataclass(frozen=True)
@@ -41,8 +39,8 @@ class Scheme:
     layers: int | None = None  # global scheme only; None means "one layer per qubit"
 
     def __post_init__(self):
-        if self.kind not in _VALID_SCHEMES:
-            raise ValueError(f"unknown scheme {self.kind!r}; expected one of {_VALID_SCHEMES}")
+        if self.kind not in SCHEME_KINDS:
+            raise ValueError(f"unknown scheme {self.kind!r}; expected one of {SCHEME_KINDS}")
         if self.layers is not None:
             if self.kind != "global":
                 raise ValueError(f"layers only apply to the global scheme, not {self.kind!r}")
@@ -138,7 +136,6 @@ def _word_entries(words) -> np.ndarray:
 
 # Column 0 of a word's matrix is the state it prepares from |0>.
 _LOCAL_STATES = _word_entries(LOCAL_PREP_WORDS)[:, ::2]
-_CLIFFORD_ENTRIES = _word_entries(CLIFFORD_1Q_WORDS)
 
 
 def _draw_global(num_qubits: int, layers: int, gen: np.random.Generator):
@@ -210,8 +207,7 @@ class Draws:
     def prepare(self) -> np.ndarray:
         """The prepared states as a C-contiguous (rows, 2^n) block, row b
         equal to simulating `prep(b)` on |0...0>, global phase included.
-        One global row comes from its CH-form, more rows from broadcast
-        updates of the whole block."""
+        Each global row is written from its own CH-form."""
         n, rows = self.num_qubits, len(self)
         if self.scheme.kind == "classical":
             block = np.zeros((rows, 1 << n), dtype=complex)
@@ -219,15 +215,9 @@ class Draws:
             return block
         if self.scheme.kind == "local":
             return _product(_LOCAL_STATES[self.choices])
-        if rows == 1:
-            return _global_row(n, self.choices[0], self.pairs[0])
-        # Sub-round 0 acts on |0...0>, so its words prepare a product state.
-        block = _product(_CLIFFORD_ENTRIES[self.choices[:, 0]][..., ::2])
-        for r in range(self.choices.shape[1]):
-            if r:
-                for q in range(n):
-                    _apply_rows(block, n, q, _CLIFFORD_ENTRIES[self.choices[:, r, q]])
-            block = _cnot_layer(block, n, self.pairs[:, r])
+        block = np.empty((rows, 1 << n), dtype=complex)
+        for choices, pairs, out in zip(self.choices, self.pairs, block):
+            _global_row(n, choices, pairs, out)
         return block
 
 
@@ -246,9 +236,9 @@ def _product(states: np.ndarray) -> np.ndarray:
     return block
 
 
-def _global_row(n: int, choices: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """One global stimulus as a (1, 2^n) block: its gates, in `prep`'s
-    order, applied to a CH-form, whose amplitudes are written once."""
+def _global_row(n: int, choices: np.ndarray, pairs: np.ndarray, out: np.ndarray) -> None:
+    """Write one global stimulus into `out`: its gates, in `prep`'s order,
+    applied to a CH-form, whose amplitudes are written once."""
     state = CHForm(n)
     for words, matching in zip(choices.tolist(), pairs.tolist()):
         for q, word in enumerate(words):
@@ -259,33 +249,7 @@ def _global_row(n: int, choices: np.ndarray, pairs: np.ndarray) -> np.ndarray:
                     state.apply_s(q)
         for control, target in matching:
             state.apply_cx(control, target)
-    block = np.empty((1, 1 << n), dtype=complex)
-    state.write(block[0])
-    return block
-
-
-def _apply_rows(block: np.ndarray, n: int, q: int, entries: np.ndarray) -> None:
-    """Apply row b's 2x2 `entries[b]` to qubit q of block row b, in place."""
-    view = block.reshape(len(block), -1, 2, 1 << q)
-    x0, x1 = view[:, :, 0], view[:, :, 1]
-    m00, m01, m10, m11 = entries.T[:, :, None, None]
-    s0 = x0 * m10
-    x0 *= m00
-    x0 += x1 * m01
-    x1 *= m11
-    x1 += s0
-
-
-def _cnot_layer(block: np.ndarray, n: int, pairs: np.ndarray) -> np.ndarray:
-    """Apply row b's CNOTs `pairs[b]` (disjoint (control, target) pairs) to
-    block row b, gathering through one index permutation per row;
-    the permutation is its own inverse, because disjoint CNOTs commute and
-    each undoes itself."""
-    index = np.arange(1 << n)
-    perm = np.tile(index, (len(block), 1))
-    for control, target in pairs.transpose(1, 2, 0):
-        perm ^= ((index >> control[:, None]) & 1) << target[:, None]
-    return np.take_along_axis(block, perm, axis=1)
+    state.write(out)
 
 
 def draw(scheme: Scheme, num_qubits: int, sources: Sequence[RandomSource]) -> Draws:

@@ -45,8 +45,6 @@ def test_zero_state_three_qubits():
 def test_zero_state_respects_maximum():
     with pytest.raises(ValueError):
         zero_state(25)
-    with pytest.raises(ValueError):
-        zero_state(9, max_qubits=8)
 
 
 def test_h_on_q1_of_00():

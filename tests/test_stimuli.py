@@ -289,17 +289,31 @@ def test_global_draws_are_golden(n, seed, words, pairs):
     assert [[tuple(pair) for pair in rnd] for rnd in draws.pairs[0].tolist()] == pairs
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
+def assert_global_rows_equal_simulated_preps(n: int, layers: int | None, rows: int) -> None:
+    # every row goes through its own CH-form; its global phase must match too
+    for seed in range(8 if n <= 8 else 3):
+        draws = draw(global_scheme(layers), n, [RandomSource(310, n, seed)] * rows)
+        block = draws.prepare()
+        assert block.shape == (rows, 1 << n) and block.flags.c_contiguous
+        for row in range(rows):
+            expected = simulate(draws.prep(row), zero_state(n)).amplitudes
+            np.testing.assert_allclose(block[row], expected, rtol=0, atol=1e-12,
+                                       err_msg=f"seed {seed}, row {row}")
+
+
+GLOBAL_ROW_QUBITS = [1, 2, 3, 5, 8, 10, 12, 16]
+
+
+@pytest.mark.parametrize("n", GLOBAL_ROW_QUBITS)
 @pytest.mark.parametrize("layers", [1, None], ids=["global-1", "global-default"])
 def test_one_row_global_block_equals_its_simulated_prep(n, layers):
-    # one row goes through the CH-form; its global phase must match too
-    for seed in range(8 if n <= 8 else 3):
-        draws = draw(global_scheme(layers), n, [RandomSource(310, n, seed)])
-        block = draws.prepare()
-        assert block.shape == (1, 1 << n) and block.flags.c_contiguous
-        expected = simulate(draws.prep(0), zero_state(n)).amplitudes
-        np.testing.assert_allclose(block[0], expected, rtol=0, atol=1e-12,
-                                   err_msg=f"seed {seed}")
+    assert_global_rows_equal_simulated_preps(n, layers, rows=1)
+
+
+@pytest.mark.parametrize("n", GLOBAL_ROW_QUBITS)
+@pytest.mark.parametrize("layers", [1, None], ids=["global-1", "global-default"])
+def test_every_row_of_a_global_block_equals_its_simulated_prep(n, layers):
+    assert_global_rows_equal_simulated_preps(n, layers, rows=4)
 
 
 def random_clifford_circuit(n: int, length: int, gen: np.random.Generator) -> Circuit:
