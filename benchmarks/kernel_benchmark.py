@@ -20,6 +20,11 @@ verifier's block stimulus engine.
    circuit gate by gate with `simulate`; and at n = 12 the time per row of a
    16-row block, whose rows each go through their own CH-form, as in
    `verify`.
+5. The equivalence filter of `bench`, for qft(n) against an insert_2
+   mutant: ms per pair for the oracle route (two `oracle.build_unitary`
+   calls and `oracle.avg_fidelity`) and for `equivalence.trace_fidelity`,
+   at n = 4 and 6, and for `trace_fidelity` alone at n = 8, past the
+   oracle's limit.
 
 Usage: python3 benchmarks/kernel_benchmark.py [--max-qubits N] [--repeats R]
 """
@@ -30,9 +35,11 @@ import time
 
 import numpy as np
 
-from stimcheck import kernels
+from stimcheck import kernels, oracle
 from stimcheck.circuit import Gate, GateKind
+from stimcheck.equivalence import trace_fidelity
 from stimcheck.library import qft
+from stimcheck.mutation import ErrorOption, mutate
 from stimcheck.simulator import compile_ops, run_ops, simulate, zero_state
 from stimcheck.stimuli import CLASSICAL, LOCAL, RandomSource, draw, global_scheme, next_stimulus
 
@@ -144,6 +151,20 @@ def main() -> None:
     block = draw(global_scheme(), 12, [RandomSource(5, 12)] * rows)
     print(f"block of {rows} rows at n = 12, one CH-form per row: "
           f"{best_seconds(block.prepare, args.repeats) / rows * 1e3:.2f} ms per row")
+
+    print("\nequivalence filter, qft(n) against an insert_2 mutant, ms per pair:")
+    print(f"{'qubits':>6} {'oracle':>10} {'trace':>10}")
+    for n in (4, 6, 8):
+        spec = qft(n)
+        mutant = mutate(spec, ErrorOption.INSERT_2, RandomSource(9, n))
+        trace = best_seconds(lambda: trace_fidelity(spec, mutant), args.repeats)
+        if n <= oracle.ORACLE_LIMIT:
+            brute = best_seconds(lambda: oracle.avg_fidelity(oracle.build_unitary(spec),
+                                                             oracle.build_unitary(mutant)),
+                                 args.repeats)
+            print(f"{n:>6} {brute * 1e3:>10.2f} {trace * 1e3:>10.2f}")
+        else:
+            print(f"{n:>6} {'-':>10} {trace * 1e3:>10.2f}")
 
 
 if __name__ == "__main__":

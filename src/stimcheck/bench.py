@@ -5,8 +5,9 @@ faulty realization is generated and verified; results are aggregated into
 one row per (circuit, scheme, error option).
 
 Detection rate p_s is computed over usable instances: instances whose
-mutation is inapplicable are skipped, and mutations the oracle proves
-accidentally equivalent are filtered out and reported separately. A row
+mutation is inapplicable are skipped, and mutations whose exact average
+gate fidelity (`is_functional_mutation`) proves them accidentally
+equivalent are filtered out and reported separately. A row
 with no usable instance has p_s NaN, so that it does not read as 0 %
 detected. The average stimulus count is taken over detected instances;
 avg_time is the mean wall clock per stimulus simulation, which isolates the

@@ -1,10 +1,19 @@
-"""Error injection: produce faulty realizations from a specification circuit."""
+"""Error injection: produce faulty realizations from a specification circuit.
+
+`is_functional_mutation` filters out mutants that are accidentally
+equivalent to their specification. It judges them by the exact average gate
+fidelity from `equivalence.trace_fidelity`, which runs basis states through
+the same compiled ops as `verify`, up to ORACLE_LIMIT qubits; the brute-force
+unitaries of `oracle.py` stay the independent reference it is tested against.
+"""
 from __future__ import annotations
 
 from enum import Enum
 
 from .circuit import Circuit, Gate, GateKind
-from .oracle import ORACLE_LIMIT, avg_fidelity, build_unitary
+from .equivalence import trace_fidelity
+from .oracle import ORACLE_LIMIT
+from .oracle import avg_fidelity, build_unitary  # noqa: F401  (for tools that wrap them by name)
 from .stimuli import RandomSource
 
 EQUIVALENCE_MARGIN = 1e-10
@@ -84,10 +93,11 @@ def mutate(circuit: Circuit, option: ErrorOption, rng: RandomSource) -> Circuit:
 
 def is_functional_mutation(spec: Circuit, mutated: Circuit) -> bool | None:
     """True if the mutation changed the circuit's functionality, judged by the
-    oracle's average gate fidelity. None when the circuit is too large to check."""
+    exact average gate fidelity. None above ORACLE_LIMIT qubits, where it is
+    not checked."""
     if spec.num_qubits != mutated.num_qubits:
         return True
     if spec.num_qubits > ORACLE_LIMIT:
         return None
-    f = avg_fidelity(build_unitary(spec), build_unitary(mutated))
+    _, f = trace_fidelity(spec, mutated)
     return f < 1.0 - EQUIVALENCE_MARGIN

@@ -4,7 +4,8 @@ import pytest
 
 from stimcheck.circuit import Circuit, Gate, GateKind
 from stimcheck.cli import EXIT_DETECTED, EXIT_ERROR, EXIT_OK, main
-from stimcheck.library import ghz
+from stimcheck.equivalence import EXACT_LIMIT
+from stimcheck.library import ghz, qft
 from stimcheck.qasm import emit_qasm, parse_qasm
 
 
@@ -182,6 +183,9 @@ class TestOracleCheck:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "average gate fidelity: 1.000000000000" in out
+        assert "via |Omega>: 1.000000000000" in out
+        assert "mean fidelity over all 6^3 local stimuli: 1.000000000000" in out
+        assert "skipped" not in out
         assert "functionally equivalent: yes" in out
 
     def test_different_pair(self, ghz_file, broken_ghz_file, capsys):
@@ -193,3 +197,27 @@ class TestOracleCheck:
         other = tmp_path / "two.qasm"
         other.write_text(emit_qasm(ghz(2)))
         assert main(["oracle-check", ghz_file, str(other)]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("extra,equivalent", [
+        ((Gate(GateKind.H, 5), Gate(GateKind.H, 5)), "yes"),
+        ((Gate(GateKind.T, 5),), "no"),
+    ], ids=["rewrite", "mutant"])
+    def test_eight_qubits_use_the_kernel_trace(self, tmp_path, capsys, extra, equivalent):
+        spec, impl = tmp_path / "spec.qasm", tmp_path / "impl.qasm"
+        spec.write_text(emit_qasm(qft(8)))
+        impl.write_text(emit_qasm(qft(8).appended(*extra)))
+        assert main(["oracle-check", str(spec), str(impl)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "entanglement fidelity: " in out
+        assert "average gate fidelity: " in out
+        assert "skipped above 6 qubits: the |Omega> and 6^8-local measures" in out
+        assert "mean fidelity" not in out
+        assert f"functionally equivalent: {equivalent}" in out
+
+    def test_above_exact_limit_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "wide.qasm"
+        path.write_text(emit_qasm(ghz(EXACT_LIMIT + 1)))
+        assert main(["oracle-check", str(path), str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"exact-check limit of {EXACT_LIMIT}" in err
+        assert "Traceback" not in err

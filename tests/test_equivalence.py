@@ -3,11 +3,14 @@ import math
 
 import pytest
 
-from stimcheck import kernels
+from stimcheck import kernels, oracle
 from stimcheck.circuit import Circuit, Gate, GateKind
 from stimcheck.equivalence import (
+    BLOCK_AMPS,
+    EXACT_LIMIT,
     Verdict,
     VerificationConfig,
+    trace_fidelity,
     verify,
     verify_exhaustive_local,
 )
@@ -299,3 +302,73 @@ def test_blocks_hold_at_most_2_to_the_16_amplitudes(monkeypatch, n, budget, max_
     rows = {shape[0] for shape in shapes}
     assert all(shape[1] == 1 << n for shape in shapes)
     assert max(rows) == max_rows
+
+
+def _assert_trace_matches_oracle(spec, impl):
+    u, v = oracle.build_unitary(spec), oracle.build_unitary(impl)
+    result = trace_fidelity(spec, impl)
+    assert [type(f) for f in result] == [float, float]
+    assert result == pytest.approx((oracle.ent_fidelity(u, v), oracle.avg_fidelity(u, v)),
+                                   abs=1e-12, rel=0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_trace_fidelity_matches_the_oracle_on_corpus_mutants(n):
+    checked = 0
+    for ci, circuit in enumerate(bundled_corpus((n,))):
+        for oi, option in enumerate(ErrorOption):
+            for k in range(2):
+                try:
+                    mutant = mutate(circuit, option, RandomSource(600, ci, oi, k))
+                except MutationError:
+                    continue
+                _assert_trace_matches_oracle(circuit, mutant)
+                checked += 1
+    assert checked >= 18
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_trace_fidelity_matches_the_oracle_on_random_circuits(n):
+    for k in range(3):
+        a = random_circuit(n, 6 * n, RandomSource(601, n, k), with_rotations=True)
+        b = random_circuit(n, 6 * n, RandomSource(602, n, k), with_rotations=True)
+        # a small rotation keeps the fidelity away from 0 and 1
+        near = a.appended(Gate(GateKind.RY, n - 1, params=(0.3 + 0.2 * k,)))
+        for impl in (a, b, near):
+            _assert_trace_matches_oracle(a, impl)
+
+
+@pytest.mark.parametrize("n,rows", [(8, 256), (9, 128)])
+def test_trace_fidelity_blocks_hold_at_most_2_to_the_16_amplitudes(monkeypatch, n, rows):
+    shapes = set()
+    apply_2x2 = kernels.apply_2x2
+
+    def recording(amps, *args):
+        shapes.add(amps.shape)
+        apply_2x2(amps, *args)
+
+    monkeypatch.setattr(kernels, "apply_2x2", recording)
+    trace_fidelity(ghz(n), ghz(n))
+    assert shapes == {(rows, 1 << n)}
+    assert rows << n <= BLOCK_AMPS
+
+
+def test_trace_fidelity_over_several_blocks():
+    n = 9
+    assert (1 << (2 * n)) // BLOCK_AMPS == 4
+    spec = random_circuit(n, 5 * n, RandomSource(603), with_rotations=True, with_toffoli=True)
+    undone = _inserted(spec, [(spec.gate_count // 2, [Gate(GateKind.H, 4), Gate(GateKind.H, 4)])])
+    for impl in (spec, undone):
+        assert trace_fidelity(spec, impl) == pytest.approx((1.0, 1.0), abs=1e-12, rel=0)
+    # tr(U^dag Z U) = tr(Z) = 0
+    flipped = ghz(n).appended(Gate(GateKind.Z, 4))
+    dim = 1 << n
+    assert trace_fidelity(ghz(n), flipped) == pytest.approx((0.0, 1.0 / (dim + 1)),
+                                                            abs=1e-12, rel=0)
+
+
+def test_trace_fidelity_limits():
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        trace_fidelity(ghz(3), ghz(4))
+    with pytest.raises(ValueError, match=f"exact-check limit of {EXACT_LIMIT}"):
+        trace_fidelity(ghz(EXACT_LIMIT + 1), ghz(EXACT_LIMIT + 1))

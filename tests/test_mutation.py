@@ -1,7 +1,11 @@
+import math
+
 import pytest
 
+from stimcheck import oracle
+from stimcheck.bench import BenchmarkConfig, run_benchmark_circuits
 from stimcheck.circuit import Circuit, Gate, GateKind
-from stimcheck.library import ghz, qft, random_circuit
+from stimcheck.library import bundled_corpus, ghz, qft, random_circuit
 from stimcheck.mutation import (
     INSERT_KINDS,
     TOFFOLI_COUNT,
@@ -11,7 +15,7 @@ from stimcheck.mutation import (
     mutate,
 )
 from stimcheck.qasm import emit_qasm
-from stimcheck.stimuli import RandomSource
+from stimcheck.stimuli import CLASSICAL, RandomSource
 
 ALL_OPTIONS = list(ErrorOption)
 
@@ -133,3 +137,27 @@ class TestIsFunctionalMutation:
         ]
         assert all(o in (True, False) for o in outcomes)
         assert sum(outcomes) >= 0.8 * len(outcomes)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_verdicts_are_python_bools(self, n):
+        for ci, circuit in enumerate(bundled_corpus((n,))):
+            for oi, option in enumerate(ALL_OPTIONS):
+                mutant = mutate(circuit, option, RandomSource(13, ci, oi))
+                assert type(is_functional_mutation(circuit, mutant)) is bool
+
+    def test_equivalent_corpus_mutant_is_filtered_by_the_benchmark(self):
+        # random_4 with two inserted gates that cancel: its fidelity rounds to
+        # just below 1, and `bench` tests the verdict with `is False`
+        circuits = bundled_corpus((4,))
+        spec = circuits[2]
+        option_index = ALL_OPTIONS.index(ErrorOption.INSERT_2)
+        mutant = mutate(spec, ErrorOption.INSERT_2, RandomSource(13, 2, option_index, 0))
+        f = oracle.avg_fidelity(oracle.build_unitary(spec), oracle.build_unitary(mutant))
+        assert 1.0 - 1e-12 < f < 1.0
+        assert is_functional_mutation(spec, mutant) is False
+        config = BenchmarkConfig(schemes=(CLASSICAL,), error_seeds=1, stimuli_seeds=1,
+                                 max_stimuli=2, master_seed=13)
+        rows = run_benchmark_circuits(circuits, config)
+        row = next(r for r in rows if (r.circuit, r.error_option) == ("random_4", "insert_2"))
+        assert row.equiv_filtered == 1
+        assert math.isnan(row.p_s)
