@@ -18,6 +18,10 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 
 class GateKind(Enum):
+    """The gate set, defined only here. Each value is the kind's qelib1
+    spelling, which `qasm.py` reads and writes; the tables below give each
+    kind's parameter count and matrix entries."""
+
     I = "id"
     X = "x"
     Y = "y"
@@ -35,11 +39,8 @@ class GateKind(Enum):
 
     @property
     def num_params(self) -> int:
-        if self in (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.PHASE):
-            return 1
-        if self is GateKind.U3:
-            return 3
-        return 0
+        count, _ = _PARAMETRISED_ENTRIES.get(self, (0, None))
+        return count
 
 
 _T_PHASE = cmath.exp(1j * math.pi / 4)
@@ -84,7 +85,8 @@ def _u3(t: float, phi: float, lam: float) -> tuple[complex, ...]:
             cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c)
 
 
-# Parameter count and entries of every parametrised gate kind.
+# Parameter count and entries of every parametrised gate kind; every other
+# kind takes no parameters.
 _PARAMETRISED_ENTRIES = {
     GateKind.RX: (1, _rx),
     GateKind.RY: (1, _ry),

@@ -20,7 +20,7 @@ from .equivalence import (
     trace_fidelity,
     verify,
 )
-from .library import ghz, qft, random_circuit
+from .library import FAMILIES, family_circuit
 from .mutation import EQUIVALENCE_MARGIN, ErrorOption, MutationError, mutate
 from .oracle import (
     OMEGA_LIMIT,
@@ -163,16 +163,8 @@ def _cmd_gen_circuits(args) -> int:
     written = []
     for n in sizes:
         for family in families:
-            if family == "ghz":
-                circuit = ghz(n)
-            elif family == "qft":
-                circuit = qft(n)
-            elif family == "random":
-                circuit = random_circuit(n, args.gates or 4 * n,
-                                         RandomSource(args.seed, n), with_toffoli=True)
-            else:
-                print(f"error: unknown family {family!r}", file=sys.stderr)
-                return EXIT_ERROR
+            # an unknown family raises ValueError, which main reports
+            circuit = family_circuit(family, n, args.seed, args.gates)
             path = out_dir / f"{circuit.name}.qasm"
             path.write_text(emit_qasm(circuit))
             written.append(path)
@@ -249,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-circuits", help="write the bundled circuit families as QASM")
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--sizes", default="4,6,8")
-    p_gen.add_argument("--families", default="ghz,qft,random")
+    p_gen.add_argument("--families", default=",".join(FAMILIES))
     p_gen.add_argument("--gates", type=int, default=None,
                        help="gate count for random circuits (default 4n)")
     p_gen.add_argument("--seed", type=int, default=2024)

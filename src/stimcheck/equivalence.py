@@ -15,8 +15,8 @@ live; both are freed before the next block is prepared. Only the row that
 detects an error gets its preparation circuit rebuilt, as the witness,
 from its recorded draws.
 
-`trace_fidelity` runs the same compiled ops on blocks of consecutive
-computational basis states instead of stimuli, and sums
+`trace_fidelity` takes the same block step on classical stimuli, the
+consecutive computational basis states 0, 1, ..., 2^n - 1, and sums
 tr(U_spec† U_impl) = Σ_i <U_spec i|U_impl i> block by block. From the trace
 it gives, exactly, the entanglement and average gate fidelities that
 `oracle.py` computes from products of full gate matrices. It costs 2^n
@@ -37,7 +37,7 @@ import numpy as np
 from .circuit import Circuit
 from .simulator import StateVector, check_qubits, compile_ops, fidelity, run_ops
 from .simulator import simulate  # noqa: F401
-from .stimuli import LOCAL, Draws, RandomSource, Scheme, Stimulus, draw
+from .stimuli import CLASSICAL, LOCAL, Draws, RandomSource, Scheme, Stimulus, draw
 from .stimuli import next_stimulus  # noqa: F401
 
 DEFAULT_MAX_STIMULI = 16
@@ -92,6 +92,18 @@ def _check_compatible(spec: Circuit, impl: Circuit) -> None:
     check_qubits(spec.num_qubits)
 
 
+def _run_block(draws: Draws, n: int, spec_ops, impl_ops) -> tuple[np.ndarray, np.ndarray]:
+    """Prepare the block of `draws` and run it through both compiled
+    circuits: the specification in place, the realization on a copy. The
+    caller frees both before it prepares the next block, so that two
+    blocks are live, not three."""
+    out_spec = draws.prepare()
+    out_impl = out_spec.copy()
+    run_ops(out_spec, n, spec_ops)
+    run_ops(out_impl, n, impl_ops)
+    return out_spec, out_impl
+
+
 def _run_blocks(spec, impl, budget, draw_block, seed_tag, epsilon) -> VerificationReport:
     """Check `budget` stimuli in blocks of 1, 2, 4, ... rows, each block
     capped by the remaining budget and by BLOCK_AMPS amplitudes.
@@ -111,10 +123,7 @@ def _run_blocks(spec, impl, budget, draw_block, seed_tag, epsilon) -> Verificati
     rows = 1
     while len(fidelities) < budget:
         draws = draw_block(min(rows, max_rows, budget - len(fidelities)))
-        out_spec = draws.prepare()
-        out_impl = out_spec.copy()
-        run_ops(out_spec, n, spec_ops)
-        run_ops(out_impl, n, impl_ops)
+        out_spec, out_impl = _run_block(draws, n, spec_ops, impl_ops)
         for row in range(len(draws)):
             f = fidelity(StateVector(n, out_spec[row]), StateVector(n, out_impl[row]))
             fidelities.append(f)
@@ -125,7 +134,6 @@ def _run_blocks(spec, impl, budget, draw_block, seed_tag, epsilon) -> Verificati
                     Verdict.ERROR_DETECTED, k + 1, fidelities, witness,
                     time.perf_counter() - start,
                 )
-        # freed before the next block is prepared, so two blocks are live, not three
         del out_spec, out_impl
         rows *= 2
     return VerificationReport(
@@ -183,12 +191,10 @@ def trace_fidelity(spec: Circuit, impl: Circuit) -> tuple[float, float]:
     max_rows = max(1, BLOCK_AMPS >> n)
     trace = 0j
     for first in range(0, dim, max_rows):
-        rows = min(max_rows, dim - first)
-        out_spec = np.zeros((rows, dim), dtype=complex)
-        out_spec[np.arange(rows), np.arange(first, first + rows)] = 1.0
-        out_impl = out_spec.copy()
-        run_ops(out_spec, n, spec_ops)
-        run_ops(out_impl, n, impl_ops)
+        # basis states first, first + 1, ... as the classical stimuli of their bits
+        indices = np.arange(first, min(first + max_rows, dim))
+        bits = (indices[:, None] >> np.arange(n)) & 1
+        out_spec, out_impl = _run_block(Draws(CLASSICAL, bits), n, spec_ops, impl_ops)
         trace += complex(np.vdot(out_spec, out_impl))
         del out_spec, out_impl
     f_ent = min(max(abs(trace) ** 2 / 4.0**n, 0.0), 1.0)

@@ -84,14 +84,24 @@ def random_circuit(
     return Circuit(num_qubits, tuple(gates), name=name or f"random_{num_qubits}")
 
 
+FAMILIES = ("ghz", "qft", "random")
+
+
+def family_circuit(family: str, num_qubits: int, seed: int,
+                   num_gates: int | None = None) -> Circuit:
+    """One circuit of a bundled family by name. A random circuit has
+    `num_gates` gates (4n if not given), Toffolis included, drawn from
+    RandomSource(seed, num_qubits)."""
+    if family == "ghz":
+        return ghz(num_qubits)
+    if family == "qft":
+        return qft(num_qubits)
+    if family == "random":
+        return random_circuit(num_qubits, num_gates or 4 * num_qubits,
+                              RandomSource(seed, num_qubits), with_toffoli=True)
+    raise ValueError(f"unknown family {family!r}")
+
+
 def bundled_corpus(sizes: tuple[int, ...] = (4, 6, 8), seed: int = 2024) -> list[Circuit]:
     """Default benchmark corpus: one GHZ, QFT, and random Clifford+T circuit per size."""
-    circuits = []
-    for n in sizes:
-        circuits.append(ghz(n))
-        circuits.append(qft(n))
-        circuits.append(
-            random_circuit(n, 4 * n, RandomSource(seed, n), with_toffoli=True,
-                           name=f"random_{n}")
-        )
-    return circuits
+    return [family_circuit(family, n, seed) for n in sizes for family in FAMILIES]

@@ -3,6 +3,9 @@
 Supported statements: the OPENQASM 2.0 header, an optional qelib1 include,
 a single qreg declaration, and gate applications drawn from
 {id, x, y, z, h, s, sdg, t, tdg, rx, ry, rz, u1, u2, u3, cx, ccx}.
+Each `GateKind` is read and written under its value, with the parameter
+count `circuit.py` gives it. On top of those, u2 is read as u3 with
+theta = pi/2, and cx and ccx spell X with one or two controls.
 Angle expressions allow numeric literals, pi, unary minus, and * /.
 Anything else is a parse error.
 """
@@ -47,23 +50,10 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-# (kind, qubit arity, param arity); cx/ccx map onto controlled X
+# spelling -> (kind, qubit arity, param arity), as the module docstring lists
 _GATE_TABLE = {
-    "id": (GateKind.I, 1, 0),
-    "x": (GateKind.X, 1, 0),
-    "y": (GateKind.Y, 1, 0),
-    "z": (GateKind.Z, 1, 0),
-    "h": (GateKind.H, 1, 0),
-    "s": (GateKind.S, 1, 0),
-    "sdg": (GateKind.SDG, 1, 0),
-    "t": (GateKind.T, 1, 0),
-    "tdg": (GateKind.TDG, 1, 0),
-    "rx": (GateKind.RX, 1, 1),
-    "ry": (GateKind.RY, 1, 1),
-    "rz": (GateKind.RZ, 1, 1),
-    "u1": (GateKind.PHASE, 1, 1),
+    **{kind.value: (kind, 1, kind.num_params) for kind in GateKind},
     "u2": (GateKind.U3, 1, 2),
-    "u3": (GateKind.U3, 1, 3),
     "cx": (GateKind.X, 2, 0),
     "ccx": (GateKind.X, 3, 0),
 }
@@ -254,24 +244,6 @@ def load_circuit(path: str | Path) -> Circuit:
     return Circuit(circuit.num_qubits, circuit.gates, name=path.stem)
 
 
-_EMIT_NAMES = {
-    GateKind.I: "id",
-    GateKind.X: "x",
-    GateKind.Y: "y",
-    GateKind.Z: "z",
-    GateKind.H: "h",
-    GateKind.S: "s",
-    GateKind.SDG: "sdg",
-    GateKind.T: "t",
-    GateKind.TDG: "tdg",
-    GateKind.RX: "rx",
-    GateKind.RY: "ry",
-    GateKind.RZ: "rz",
-    GateKind.PHASE: "u1",
-    GateKind.U3: "u3",
-}
-
-
 def emit_qasm(circuit: Circuit) -> str:
     """Serialize a circuit; parse_qasm(emit_qasm(c)) is structurally equal to c."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
@@ -281,7 +253,7 @@ def emit_qasm(circuit: Circuit) -> str:
                 raise ValueError(f"no QASM spelling for controlled {gate.kind.name} gate: {gate}")
             name = "cx" if len(gate.controls) == 1 else "ccx"
         else:
-            name = _EMIT_NAMES[gate.kind]
+            name = gate.kind.value
         args = ",".join(f"q[{q}]" for q in gate.qubits)
         if gate.params:
             params = ",".join(repr(p) for p in gate.params)

@@ -4,7 +4,9 @@ Every stimulus is a preparation circuit meant to act on |0...0>. The local
 scheme prepares per-qubit states from the six single-qubit stabilizer states
 {|0>,|1>,|+>,|->,|up>,|down>}; the global scheme layers random Clifford
 gates (H, S, CNOT) so that the stimulus ensemble approaches a state
-2-design as the layer count grows.
+2-design as the layer count grows. Gate matrices come from `circuit.py`
+only: the six states are simulated from their preparation words, and the
+24 single-qubit Cliffords are enumerated from `base_matrix` of H and S.
 
 `draw` records only the random choices behind a block of stimuli, one row
 per stimulus, in a `Draws`: classical bits, local state indices, or, for
@@ -26,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, gate_entries
+from .circuit import Circuit, Gate, GateKind, base_matrix
 from .clifford import CHForm
-from .simulator import compile_ops
+from .simulator import simulate, zero_state
 
 SCHEME_KINDS = ("classical", "local", "global")
 
@@ -93,12 +95,22 @@ LOCAL_PREP_WORDS: tuple[tuple[GateKind, ...], ...] = (
 )
 
 
+def local_prep(choice) -> Circuit:
+    """Preparation circuit putting qubit q in state LOCAL_PREP_WORDS[choice[q]]."""
+    gates = tuple(
+        Gate(kind, q) for q, word in enumerate(choice) for kind in LOCAL_PREP_WORDS[word]
+    )
+    return Circuit(len(choice), gates, name="local-stimulus")
+
+
+# The six single-qubit states, one row each, in the order of LOCAL_PREP_WORDS.
+_LOCAL_STATES = np.array([simulate(local_prep([word]), zero_state(1)).amplitudes
+                          for word in range(len(LOCAL_PREP_WORDS))])
+
+
 def _single_qubit_cliffords() -> tuple[tuple[GateKind, ...], ...]:
     """All 24 single-qubit Clifford operations (mod global phase) as shortest
     words over {H, S}, in application order. Deterministic BFS enumeration."""
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    s = np.array([[1, 0], [0, 1j]], dtype=complex)
-
     def canon(m: np.ndarray) -> tuple:
         flat = m.flatten()
         pivot = next(v for v in flat if abs(v) > 1e-9)
@@ -109,8 +121,8 @@ def _single_qubit_cliffords() -> tuple[tuple[GateKind, ...], ...]:
     while frontier:
         next_frontier = []
         for word, mat in frontier:
-            for kind, gate_mat in ((GateKind.H, h), (GateKind.S, s)):
-                new_mat = gate_mat @ mat
+            for kind in (GateKind.H, GateKind.S):
+                new_mat = base_matrix(kind) @ mat
                 key = canon(new_mat)
                 if key not in words:
                     new_word = word + (kind,)
@@ -123,19 +135,6 @@ def _single_qubit_cliffords() -> tuple[tuple[GateKind, ...], ...]:
 
 
 CLIFFORD_1Q_WORDS = _single_qubit_cliffords()
-
-
-def _word_entries(words) -> np.ndarray:
-    """Row-major entries of each word's fused 2x2, one row per word."""
-    entries = []
-    for word in words:
-        ops = compile_ops(Circuit(1, tuple(Gate(kind, 0) for kind in word)))
-        entries.append(ops[0][2:] if ops else gate_entries(GateKind.I))
-    return np.array(entries, dtype=complex)
-
-
-# Column 0 of a word's matrix is the state it prepares from |0>.
-_LOCAL_STATES = _word_entries(LOCAL_PREP_WORDS)[:, ::2]
 
 
 def _draw_global(num_qubits: int, layers: int, gen: np.random.Generator):
@@ -270,14 +269,6 @@ def draw(scheme: Scheme, num_qubits: int, sources: Sequence[RandomSource]) -> Dr
     high = 2 if scheme.kind == "classical" else 6
     return Draws(scheme, np.array([gen.integers(0, high, size=num_qubits) for gen in gens],
                                   dtype=np.intp))
-
-
-def local_prep(choice) -> Circuit:
-    """Preparation circuit putting qubit q in state LOCAL_PREP_WORDS[choice[q]]."""
-    gates = tuple(
-        Gate(kind, q) for q, word in enumerate(choice) for kind in LOCAL_PREP_WORDS[word]
-    )
-    return Circuit(len(choice), gates, name="local-stimulus")
 
 
 def next_stimulus(

@@ -175,6 +175,7 @@ class TestGenCircuits:
     def test_unknown_family(self, tmp_path, capsys):
         code = main(["gen-circuits", "--out", str(tmp_path), "--families", "vqe"])
         assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: unknown family 'vqe'\n"
 
 
 class TestOracleCheck:

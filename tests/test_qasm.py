@@ -1,8 +1,10 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stimcheck import qasm
 from stimcheck.circuit import Circuit, Gate, GateKind
 from stimcheck.library import random_circuit
 from stimcheck.qasm import QasmError, emit_qasm, parse_qasm
@@ -150,6 +152,21 @@ def test_emit_ccx():
     circuit = Circuit(3, (Gate(GateKind.X, 0, controls=(2, 1)),))
     assert "ccx q[2],q[1],q[0];" in emit_qasm(circuit)
     assert parse_qasm(emit_qasm(circuit)) == circuit
+
+
+@pytest.mark.parametrize("spelling", [kind.value for kind in GateKind] + ["u2", "cx", "ccx"])
+def test_every_spelling_round_trips(spelling):
+    _, qubits, params = qasm._GATE_TABLE[spelling]
+    angles = f"({','.join(['0.5', '-pi/3', '2'][:params])})" if params else ""
+    args = ",".join(f"q[{q}]" for q in range(qubits))
+    circuit = parse_qasm(f"OPENQASM 2.0; qreg q[3]; {spelling}{angles} {args};")
+    assert parse_qasm(emit_qasm(circuit)) == circuit
+
+
+def test_docstring_lists_exactly_the_parse_table():
+    listed = re.search(r"\{([^}]*)\}", qasm.__doc__).group(1).split(", ")
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(qasm._GATE_TABLE)
 
 
 def test_emit_rejects_controlled_non_x():

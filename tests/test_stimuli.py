@@ -123,6 +123,14 @@ class TestClifford1qWords:
     def test_words_are_short(self):
         assert max(len(w) for w in CLIFFORD_1Q_WORDS) <= 6
 
+    def test_words_are_golden(self):
+        # A recorded global draw holds indices into this tuple, so its order
+        # fixes the gates, and so the witness, of every global stimulus.
+        golden = ["", "H", "S", "HS", "SH", "SS", "HSH", "HSS", "SHS", "SSH", "SSS",
+                  "HSHS", "HSSH", "HSSS", "SHSS", "SSHS", "HSHSS", "HSSHS", "SHSSH",
+                  "SHSSS", "SSHSS", "HSHSSH", "HSHSSS", "HSSHSS"]
+        assert CLIFFORD_1Q_WORDS == tuple(tuple(GateKind[c] for c in word) for word in golden)
+
 
 class TestClassical:
     def test_only_x_gates_and_basis_output(self):
