@@ -10,7 +10,7 @@ from .equivalence import (
 from .kernels import backend_name
 from .mutation import ErrorOption, MutationError, is_functional_mutation, mutate
 from .qasm import ParseDiagnostic, QasmError, emit_qasm, parse_qasm
-from .simulator import StateVector, apply_gate, fidelity, simulate, zero_state
+from .simulator import apply_gate, fidelity, simulate, zero_state
 from .stimuli import (
     CLASSICAL,
     LOCAL,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Circuit", "Gate", "GateKind", "base_matrix",
-    "StateVector", "apply_gate", "fidelity", "simulate", "zero_state",
+    "apply_gate", "fidelity", "simulate", "zero_state",
     "ParseDiagnostic", "QasmError", "emit_qasm", "parse_qasm",
     "Scheme", "Stimulus", "RandomSource", "CLASSICAL", "LOCAL", "global_scheme",
     "next_stimulus",

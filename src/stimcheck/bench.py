@@ -9,9 +9,10 @@ mutation is inapplicable are skipped, and mutations whose exact average
 gate fidelity (`is_functional_mutation`) proves them accidentally
 equivalent are filtered out and reported separately. A row
 with no usable instance has p_s NaN, so that it does not read as 0 %
-detected. The average stimulus count is taken over detected instances;
-avg_time is the mean wall clock per stimulus simulation, which isolates the
-per-scheme simulation cost from how many stimuli a scheme happens to need.
+detected. The average stimulus count is taken over detected instances.
+avg_time is a verify's whole wall clock per stimulus used, averaged over
+verifies: compiling both circuits and drawing, preparing, simulating and
+comparing the stimuli, not the simulation alone.
 """
 from __future__ import annotations
 
@@ -94,6 +95,9 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 def run_benchmark_circuits(
     circuits: list[Circuit], config: BenchmarkConfig
 ) -> list[BenchmarkRow]:
+    if config.output_path:
+        # an unwritable CSV path fails here, before the first verify
+        open(config.output_path, "a").close()
     rows: list[BenchmarkRow] = []
     for ci, circuit in enumerate(circuits):
         # Mutants are shared across schemes and stimulus seeds.

@@ -11,9 +11,10 @@ n = 16 on every block has one row. Each global row is prepared as a
 stabilizer CH-form (`clifford`), gate by gate in time polynomial in n, and
 its 2^n amplitudes are written once. The specification runs in place on
 the prepared block and the realization on one copy, so two blocks are
-live; both are freed before the next block is prepared. Only the row that
-detects an error gets its preparation circuit rebuilt, as the witness,
-from its recorded draws.
+live; both are freed before the next block is prepared. A row is a state,
+a (2^n,) array as in `simulator`, so `fidelity` compares rows as they are.
+Only the row that detects an error gets its preparation circuit rebuilt,
+as the witness, from its recorded draws.
 
 `trace_fidelity` takes the same block step on classical stimuli, the
 consecutive computational basis states 0, 1, ..., 2^n - 1, and sums
@@ -35,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .circuit import Circuit
-from .simulator import StateVector, check_qubits, compile_ops, fidelity, run_ops
+from .simulator import check_qubits, compile_ops, fidelity, run_ops
 from .simulator import simulate  # noqa: F401
 from .stimuli import CLASSICAL, LOCAL, Draws, RandomSource, Scheme, Stimulus, draw
 from .stimuli import next_stimulus  # noqa: F401
@@ -125,7 +126,7 @@ def _run_blocks(spec, impl, budget, draw_block, seed_tag, epsilon) -> Verificati
         draws = draw_block(min(rows, max_rows, budget - len(fidelities)))
         out_spec, out_impl = _run_block(draws, n, spec_ops, impl_ops)
         for row in range(len(draws)):
-            f = fidelity(StateVector(n, out_spec[row]), StateVector(n, out_impl[row]))
+            f = fidelity(out_spec[row], out_impl[row])
             fidelities.append(f)
             if 1.0 - f > epsilon:
                 k = len(fidelities) - 1

@@ -92,12 +92,14 @@ def family_circuit(family: str, num_qubits: int, seed: int,
     """One circuit of a bundled family by name. A random circuit has
     `num_gates` gates (4n if not given), Toffolis included, drawn from
     RandomSource(seed, num_qubits)."""
+    if num_gates is not None and num_gates < 1:
+        raise ValueError(f"gate count must be positive, got {num_gates}")
     if family == "ghz":
         return ghz(num_qubits)
     if family == "qft":
         return qft(num_qubits)
     if family == "random":
-        return random_circuit(num_qubits, num_gates or 4 * num_qubits,
+        return random_circuit(num_qubits, 4 * num_qubits if num_gates is None else num_gates,
                               RandomSource(seed, num_qubits), with_toffoli=True)
     raise ValueError(f"unknown family {family!r}")
 

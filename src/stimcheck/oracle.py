@@ -2,7 +2,8 @@
 
 Builds full circuit unitaries by explicit matrix products (independent of
 the stride-based simulator), and computes the trace-based fidelity measures
-plus their state-level cross-checks.
+plus their state-level cross-checks. States are numpy arrays of 2^n
+amplitudes, as in `simulator`.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import functools
 import numpy as np
 
 from .circuit import Circuit, Gate, base_matrix
-from .simulator import StateVector, fidelity, simulate
+from .simulator import fidelity, simulate
 from .stimuli import LOCAL_PREP_WORDS
 
 ORACLE_LIMIT = 6
@@ -74,14 +75,13 @@ def avg_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return (dim * ent_fidelity(u, v) + 1.0) / (dim + 1.0)
 
 
-def omega_state(num_qubits: int) -> StateVector:
+def omega_state(num_qubits: int) -> np.ndarray:
     """Maximally entangled 2n-qubit state 2^{-n/2} sum_j |j>|j>."""
     n = num_qubits
     amps = np.zeros(1 << (2 * n), dtype=complex)
-    scale = 2.0 ** (-n / 2.0)
-    for j in range(1 << n):
-        amps[(j << n) | j] = scale
-    return StateVector(2 * n, amps)
+    j = np.arange(1 << n)
+    amps[(j << n) | j] = 2.0 ** (-n / 2.0)
+    return amps
 
 
 def ent_fidelity_via_omega(spec: Circuit, impl: Circuit) -> float:

@@ -1,19 +1,18 @@
 """Dense state-vector simulation: |0...0> preparation, gate application, fidelity.
 
-Gates are applied in place with stride arithmetic on the amplitude array;
-no 2^n x 2^n matrix is ever materialized. `compile_ops` turns a circuit into
-kernel ops `(target, control_mask, m00, m01, m10, m11)`, fusing each run of
-uncontrolled gates on one qubit into a single 2x2 (a diagonal run keeps
-fusing across gates that act diagonally on its qubit) and cancelling CNOT
-pairs around a diagonal, and `run_ops` hands each op to `kernels.apply_2x2`. The amplitudes may be one state of shape (2^n,)
-or a block of states of shape (B, 2^n), one per row: every op then updates
-all rows in one kernel call. `simulate` compiles its circuit afresh on every
-call, so no circuit carries a cache; the verifier compiles each circuit once
-per verify and runs the ops on blocks of stimuli.
+A state is a complex numpy array of shape (2^n,); qubit q is bit q of the
+index, and n is log2 of the length. Gates are applied in place with stride
+arithmetic; no 2^n x 2^n matrix is ever materialized. `compile_ops` turns a
+circuit into kernel ops `(target, control_mask, m00, m01, m10, m11)`,
+fusing each run of uncontrolled gates on one qubit into a single 2x2 (a
+diagonal run keeps fusing across gates that act diagonally on its qubit)
+and cancelling CNOT pairs around a diagonal, and `run_ops` hands each op to
+`kernels.apply_2x2`, on one state or on every row of a (B, 2^n) block of
+states in one call. `simulate` compiles its circuit afresh on every call,
+so no circuit carries a cache; the verifier compiles each circuit once per
+verify and runs the ops on blocks of stimuli.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,17 +20,6 @@ from . import kernels
 from .circuit import Circuit, Gate, GateKind, gate_entries
 
 MAX_QUBITS = 24
-
-@dataclass
-class StateVector:
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
 
 def check_qubits(num_qubits: int) -> None:
@@ -42,20 +30,17 @@ def check_qubits(num_qubits: int) -> None:
         raise ValueError(f"{num_qubits} qubits exceeds the configured maximum of {MAX_QUBITS}")
 
 
-def zero_state(num_qubits: int) -> StateVector:
+def basis_state(num_qubits: int, index: int) -> np.ndarray:
     check_qubits(num_qubits)
-    amps = np.zeros(1 << num_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(num_qubits, amps)
-
-
-def basis_state(num_qubits: int, index: int) -> StateVector:
-    state = zero_state(num_qubits)
     if not 0 <= index < (1 << num_qubits):
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    state.amplitudes[0] = 0.0
-    state.amplitudes[index] = 1.0
-    return state
+    amps = np.zeros(1 << num_qubits, dtype=complex)
+    amps[index] = 1.0
+    return amps
+
+
+def zero_state(num_qubits: int) -> np.ndarray:
+    return basis_state(num_qubits, 0)
 
 
 def _control_mask(gate: Gate) -> int:
@@ -139,27 +124,28 @@ def compile_ops(circuit: Circuit) -> tuple[tuple, ...]:
     return tuple(ops)
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate in place and return the (mutated) state."""
-    if any(q >= state.num_qubits for q in gate.qubits):
-        raise ValueError(f"gate {gate} out of range for {state.num_qubits} qubits")
-    kernels.apply_2x2(
-        state.amplitudes, state.num_qubits, gate.target, _control_mask(gate),
-        *gate_entries(gate.kind, gate.params),
-    )
-    return state
+def apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply one gate in place to a state and return the (mutated) array."""
+    n = len(amps).bit_length() - 1
+    if n < 0 or len(amps) != 1 << n:
+        raise ValueError(f"state length {len(amps)} is not a power of two")
+    if any(q >= n for q in gate.qubits):
+        raise ValueError(f"gate {gate} out of range for {n} qubits")
+    kernels.apply_2x2(amps, n, gate.target, _control_mask(gate),
+                      *gate_entries(gate.kind, gate.params))
+    return amps
 
 
-def simulate(circuit: Circuit, initial: StateVector) -> StateVector:
+def simulate(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
     """Apply the circuit's compiled kernel ops to a copy of `initial`, which
-    is not mutated."""
-    if circuit.num_qubits != initial.num_qubits:
+    is not mutated, and return the copy."""
+    if len(initial) != 1 << circuit.num_qubits:
         raise ValueError(
-            f"circuit has {circuit.num_qubits} qubits but state has {initial.num_qubits}"
+            f"circuit has {circuit.num_qubits} qubits but state has {len(initial)} amplitudes"
         )
-    state = initial.copy()
-    run_ops(state.amplitudes, state.num_qubits, compile_ops(circuit))
-    return state
+    amps = initial.copy()
+    run_ops(amps, circuit.num_qubits, compile_ops(circuit))
+    return amps
 
 
 def run_ops(amps: np.ndarray, num_qubits: int, ops: tuple[tuple, ...]) -> None:
@@ -170,9 +156,10 @@ def run_ops(amps: np.ndarray, num_qubits: int, ops: tuple[tuple, ...]) -> None:
         apply_2x2(amps, num_qubits, *op)
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """Squared overlap |<a|b>|^2, clamped to [0, 1] against rounding overshoot."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}")
-    overlap = np.vdot(a.amplitudes, b.amplitudes)
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Squared overlap |<a|b>|^2 of two states, clamped to [0, 1] against
+    rounding overshoot."""
+    if len(a) != len(b):
+        raise ValueError(f"state lengths differ: {len(a)} vs {len(b)}")
+    overlap = np.vdot(a, b)
     return min(max(float(abs(overlap) ** 2), 0.0), 1.0)

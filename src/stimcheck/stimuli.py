@@ -104,7 +104,7 @@ def local_prep(choice) -> Circuit:
 
 
 # The six single-qubit states, one row each, in the order of LOCAL_PREP_WORDS.
-_LOCAL_STATES = np.array([simulate(local_prep([word]), zero_state(1)).amplitudes
+_LOCAL_STATES = np.array([simulate(local_prep([word]), zero_state(1))
                           for word in range(len(LOCAL_PREP_WORDS))])
 
 

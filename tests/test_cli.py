@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from stimcheck import bench
 from stimcheck.circuit import Circuit, Gate, GateKind
 from stimcheck.cli import EXIT_DETECTED, EXIT_ERROR, EXIT_OK, main
 from stimcheck.equivalence import EXACT_LIMIT
@@ -110,6 +111,18 @@ class TestBench:
             records = list(csv.reader(fh))
         assert [record[2] for record in records[1:]] == ["classical", "local", "global"]
 
+    def test_unwritable_out_fails_before_any_verify(self, ghz_file, tmp_path, capsys,
+                                                    monkeypatch):
+        def no_verify(*args):
+            raise AssertionError("verify called before the CSV path was checked")
+
+        monkeypatch.setattr(bench, "verify", no_verify)
+        out = tmp_path / "missing" / "rows.csv"
+        code = main(["bench", ghz_file, "--error-seeds", "1", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_no_circuits_is_an_error(self, capsys):
         assert main(["bench"]) == EXIT_ERROR
 
@@ -171,6 +184,20 @@ class TestGenCircuits:
         assert files == ["ghz_3.qasm", "ghz_4.qasm", "qft_3.qasm", "qft_4.qasm"]
         for p in out_dir.glob("*.qasm"):
             parse_qasm(p.read_text())
+
+    def test_explicit_gate_count_is_kept(self, tmp_path, capsys):
+        code = main(["gen-circuits", "--out", str(tmp_path), "--families", "random",
+                     "--sizes", "3", "--gates", "5"])
+        assert code == EXIT_OK
+        assert parse_qasm((tmp_path / "random_3.qasm").read_text()).gate_count == 5
+
+    @pytest.mark.parametrize("gates", ["0", "-5"])
+    def test_gate_count_below_one_is_an_error(self, tmp_path, capsys, gates):
+        code = main(["gen-circuits", "--out", str(tmp_path), "--families", "random",
+                     "--sizes", "3", "--gates", gates])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: gate count must be positive, got {gates}\n"
+        assert not (tmp_path / "random_3.qasm").exists()
 
     def test_unknown_family(self, tmp_path, capsys):
         code = main(["gen-circuits", "--out", str(tmp_path), "--families", "vqe"])

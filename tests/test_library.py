@@ -14,7 +14,7 @@ def test_ghz_state():
     out = simulate(ghz(3), zero_state(3))
     expected = np.zeros(8, dtype=complex)
     expected[0] = expected[7] = 1 / math.sqrt(2)
-    np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
+    np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_ghz_gate_count():

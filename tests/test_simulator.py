@@ -11,7 +11,6 @@ from stimcheck.circuit import Circuit, Gate, GateKind
 from stimcheck.library import qft, random_circuit
 from stimcheck.oracle import build_unitary, gate_unitary
 from stimcheck.simulator import (
-    StateVector,
     apply_gate,
     basis_state,
     compile_ops,
@@ -29,17 +28,18 @@ def example3_circuit() -> Circuit:
 
 
 def test_zero_state_one_qubit():
-    np.testing.assert_array_equal(zero_state(1).amplitudes, [1, 0])
+    np.testing.assert_array_equal(zero_state(1), [1, 0])
 
 
 def test_zero_state_two_qubits():
-    np.testing.assert_array_equal(zero_state(2).amplitudes, [1, 0, 0, 0])
+    np.testing.assert_array_equal(zero_state(2), [1, 0, 0, 0])
 
 
 def test_zero_state_three_qubits():
     state = zero_state(3)
-    assert len(state.amplitudes) == 8
-    assert state.amplitudes[0] == 1
+    assert state.shape == (8,)
+    assert state.dtype == complex
+    assert state[0] == 1
 
 
 def test_zero_state_respects_maximum():
@@ -49,40 +49,46 @@ def test_zero_state_respects_maximum():
 
 def test_h_on_q1_of_00():
     state = apply_gate(zero_state(2), Gate(GateKind.H, 1))
-    np.testing.assert_allclose(state.amplitudes, [SQRT2_INV, 0, SQRT2_INV, 0])
+    np.testing.assert_allclose(state, [SQRT2_INV, 0, SQRT2_INV, 0])
 
 
 def test_cnot_entangles():
-    state = StateVector(2, np.array([SQRT2_INV, 0, SQRT2_INV, 0], dtype=complex))
-    apply_gate(state, Gate(GateKind.X, 0, controls=(1,)))
-    np.testing.assert_allclose(state.amplitudes, [SQRT2_INV, 0, 0, SQRT2_INV])
+    state = np.array([SQRT2_INV, 0, SQRT2_INV, 0], dtype=complex)
+    assert apply_gate(state, Gate(GateKind.X, 0, controls=(1,))) is state
+    np.testing.assert_allclose(state, [SQRT2_INV, 0, 0, SQRT2_INV])
 
 
 def test_x_flips_single_qubit():
     state = apply_gate(zero_state(1), Gate(GateKind.X, 0))
-    np.testing.assert_array_equal(state.amplitudes, [0, 1])
+    np.testing.assert_array_equal(state, [0, 1])
 
 
 def test_apply_gate_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range for 1 qubits"):
         apply_gate(zero_state(1), Gate(GateKind.X, 1))
+    # a state's qubit count is log2 of its length, so other lengths are rejected
+    for length in (0, 3, 6):
+        with pytest.raises(ValueError, match=f"state length {length} is not a power of two"):
+            apply_gate(np.ones(length, dtype=complex), Gate(GateKind.X, 0))
 
 
 def test_simulate_example3():
     out = simulate(example3_circuit(), zero_state(2))
-    np.testing.assert_allclose(out.amplitudes, [SQRT2_INV, 0, 0, SQRT2_INV])
+    np.testing.assert_allclose(out, [SQRT2_INV, 0, 0, SQRT2_INV])
 
 
 def test_simulate_empty_circuit_keeps_state():
     initial = simulate(example3_circuit(), zero_state(2))
     out = simulate(Circuit(2), initial)
-    np.testing.assert_array_equal(out.amplitudes, initial.amplitudes)
-    assert out.amplitudes is not initial.amplitudes
+    np.testing.assert_array_equal(out, initial)
+    assert out is not initial
 
 
 def test_simulate_qubit_mismatch():
     with pytest.raises(ValueError):
         simulate(Circuit(3), zero_state(2))
+    with pytest.raises(ValueError, match="circuit has 2 qubits but state has 6 amplitudes"):
+        simulate(Circuit(2), np.ones(6, dtype=complex))
 
 
 def test_fidelity_self_is_one():
@@ -95,9 +101,9 @@ def test_fidelity_orthogonal_basis_states():
 
 
 def test_fidelity_of_00_with_bell_state():
-    bell = StateVector(2, np.array([SQRT2_INV, 0, 0, SQRT2_INV], dtype=complex))
+    bell = np.array([SQRT2_INV, 0, 0, SQRT2_INV], dtype=complex)
     # independent check: direct inner product on the raw arrays
-    expected = abs(np.vdot(zero_state(2).amplitudes, bell.amplitudes)) ** 2
+    expected = abs(np.vdot(zero_state(2), bell)) ** 2
     assert math.isclose(fidelity(zero_state(2), bell), expected)
     assert math.isclose(fidelity(zero_state(2), bell), 0.5)
 
@@ -109,12 +115,12 @@ def test_fidelity_symmetry_and_phase_invariance():
         b = simulate(random_circuit(3, 20, rng.derive(k, 1)), zero_state(3))
         assert fidelity(a, b) == fidelity(b, a)
         theta = float(rng.gen.uniform(0, 2 * math.pi))
-        rotated = StateVector(3, np.exp(1j * theta) * a.amplitudes)
+        rotated = np.exp(1j * theta) * a
         assert abs(fidelity(rotated, b) - fidelity(a, b)) < 1e-12
 
 
 def test_fidelity_qubit_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="state lengths differ: 2 vs 4"):
         fidelity(zero_state(1), zero_state(2))
 
 
@@ -123,7 +129,7 @@ def test_norm_preserved_by_random_circuits():
         circuit = random_circuit(5, 60, RandomSource(700 + k), with_rotations=True,
                                  with_toffoli=True)
         out = simulate(circuit, zero_state(5))
-        assert abs(out.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
 def test_simulator_matches_oracle_unitary():
@@ -134,7 +140,7 @@ def test_simulator_matches_oracle_unitary():
         unitary = build_unitary(circuit)
         initial = simulate(random_circuit(n, 10, RandomSource(1000 + k)), zero_state(n))
         out = simulate(circuit, initial)
-        np.testing.assert_allclose(out.amplitudes, unitary @ initial.amplitudes, atol=1e-10)
+        np.testing.assert_allclose(out, unitary @ initial, atol=1e-10)
 
 
 # Every gate kind, plus matrices whose exact zeros select the kernel's
@@ -166,8 +172,8 @@ def test_apply_gate_matches_oracle_for_every_target_and_control_set(kind, params
         for k in range(n):
             for controls in itertools.combinations(others, k):
                 gate = Gate(kind, target, controls, params)
-                out = apply_gate(StateVector(n, state.copy()), gate)
-                np.testing.assert_allclose(out.amplitudes, gate_unitary(gate, n) @ state,
+                out = apply_gate(state.copy(), gate)
+                np.testing.assert_allclose(out, gate_unitary(gate, n) @ state,
                                            atol=1e-12, err_msg=str(gate))
 
 
@@ -198,8 +204,8 @@ def test_simulate_matches_gate_by_gate_and_oracle(n):
         for gate in circuit.gates:
             apply_gate(folded, gate)
         out = simulate(circuit, initial)
-        np.testing.assert_allclose(out.amplitudes, folded.amplitudes, atol=1e-12)
-        np.testing.assert_allclose(out.amplitudes, build_unitary(circuit) @ initial.amplitudes,
+        np.testing.assert_allclose(out, folded, atol=1e-12)
+        np.testing.assert_allclose(out, build_unitary(circuit) @ initial,
                                    atol=1e-12)
 
 
@@ -239,8 +245,8 @@ def test_cancelled_cnot_pairs_match_gate_by_gate_and_oracle(n):
         for gate in circuit.gates:
             apply_gate(folded, gate)
         out = simulate(circuit, initial)
-        np.testing.assert_allclose(out.amplitudes, folded.amplitudes, atol=1e-12)
-        np.testing.assert_allclose(out.amplitudes, build_unitary(circuit) @ initial.amplitudes,
+        np.testing.assert_allclose(out, folded, atol=1e-12)
+        np.testing.assert_allclose(out, build_unitary(circuit) @ initial,
                                    atol=1e-12)
 
 
@@ -251,10 +257,10 @@ def test_qft_compiles_to_under_half_as_many_ops_as_gates():
 
 def test_simulate_leaves_initial_unmutated():
     initial = simulate(random_circuit(4, 10, RandomSource(5)), zero_state(4))
-    before = initial.amplitudes.copy()
+    before = initial.copy()
     out = simulate(circuit_with_runs(4, 6), initial)
-    np.testing.assert_array_equal(initial.amplitudes, before)
-    assert not np.shares_memory(out.amplitudes, initial.amplitudes)
+    np.testing.assert_array_equal(initial, before)
+    assert not np.shares_memory(out, initial)
 
 
 def test_global_stimulus_fuses_into_under_half_as_many_kernel_calls(monkeypatch):
@@ -272,7 +278,7 @@ def test_global_stimulus_fuses_into_under_half_as_many_kernel_calls(monkeypatch)
     out = simulate(prep, zero_state(n))
     assert calls == len(compile_ops(prep))
     assert calls < prep.gate_count / 2
-    assert abs(out.norm() - 1.0) < 1e-10
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
 def test_concurrent_simulations_match_sequential_ones():
@@ -281,11 +287,11 @@ def test_concurrent_simulations_match_sequential_ones():
     n = 12
     circuits = [random_circuit(n, 60, RandomSource(1200 + k), with_rotations=True)
                 for k in range(4)]
-    expected = [simulate(c, zero_state(n)).amplitudes for c in circuits]
+    expected = [simulate(c, zero_state(n)) for c in circuits]
     results: dict[int, list[np.ndarray]] = {}
 
     def worker(k: int) -> None:
-        results[k] = [simulate(circuits[k], zero_state(n)).amplitudes for _ in range(5)]
+        results[k] = [simulate(circuits[k], zero_state(n)) for _ in range(5)]
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(circuits))]
     for t in threads:

@@ -40,7 +40,7 @@ SIX_STATES = (
 
 def prep_state(word, num_qubits=1, qubit=0):
     circuit = Circuit(num_qubits, tuple(Gate(kind, qubit) for kind in word))
-    return simulate(circuit, zero_state(num_qubits)).amplitudes
+    return simulate(circuit, zero_state(num_qubits))
 
 
 class TestScheme:
@@ -137,7 +137,7 @@ class TestClassical:
         for k in range(50):
             stim = next_stimulus(CLASSICAL, 4, RandomSource(100, k))
             assert all(g.kind == GateKind.X and not g.controls for g in stim.prep.gates)
-            amps = simulate(stim.prep, zero_state(4)).amplitudes
+            amps = simulate(stim.prep, zero_state(4))
             assert np.count_nonzero(amps) == 1
 
     def test_uniform_over_basis_states(self):
@@ -145,7 +145,7 @@ class TestClassical:
         counts = np.zeros(2**n)
         for k in range(draws):
             stim = next_stimulus(CLASSICAL, n, RandomSource(7, k))
-            amps = simulate(stim.prep, zero_state(n)).amplitudes
+            amps = simulate(stim.prep, zero_state(n))
             counts[int(np.argmax(np.abs(amps)))] += 1
         p = 1 / 2**n
         sigma = math.sqrt(draws * p * (1 - p))
@@ -161,7 +161,7 @@ class TestLocal:
     def test_product_of_six_states(self):
         for k in range(30):
             stim = next_stimulus(LOCAL, 3, RandomSource(11, k))
-            amps = simulate(stim.prep, zero_state(3)).amplitudes
+            amps = simulate(stim.prep, zero_state(3))
             # every amplitude magnitude is a power of 1/sqrt(2)
             mags = np.abs(amps[np.abs(amps) > 1e-12])
             for m in mags:
@@ -177,7 +177,7 @@ class TestLocal:
                 if (i, j) in seen:
                     break
                 stim = next_stimulus(LOCAL, 2, RandomSource(13, k))
-                amps = simulate(stim.prep, zero_state(2)).amplitudes
+                amps = simulate(stim.prep, zero_state(2))
                 if abs(abs(np.vdot(target, amps)) - 1.0) < 1e-9:
                     seen.add((i, j))
         assert seen == expected
@@ -212,7 +212,7 @@ class TestGlobal:
         # amplitudes of H/S/CNOT circuits on |0...0> have magnitude 0 or 2^(-k/2)
         for k in range(20):
             stim = next_stimulus(global_scheme(3), 3, RandomSource(37, k))
-            amps = simulate(stim.prep, zero_state(3)).amplitudes
+            amps = simulate(stim.prep, zero_state(3))
             mags = np.abs(amps[np.abs(amps) > 1e-9])
             assert np.allclose(mags, mags[0], atol=1e-9)
 
@@ -259,7 +259,7 @@ def test_block_rows_match_simulated_next_stimulus(n, scheme):
             # the witness rebuilt from the row's draws is the same stimulus
             assert draws.stimulus(row, tag) == expected
             np.testing.assert_allclose(
-                block[row], simulate(expected.prep, zero_state(n)).amplitudes, atol=1e-12,
+                block[row], simulate(expected.prep, zero_state(n)), atol=1e-12,
                 err_msg=f"stimulus {k}")
             k += 1
 
@@ -304,7 +304,7 @@ def assert_global_rows_equal_simulated_preps(n: int, layers: int | None, rows: i
         block = draws.prepare()
         assert block.shape == (rows, 1 << n) and block.flags.c_contiguous
         for row in range(rows):
-            expected = simulate(draws.prep(row), zero_state(n)).amplitudes
+            expected = simulate(draws.prep(row), zero_state(n))
             np.testing.assert_allclose(block[row], expected, rtol=0, atol=1e-12,
                                        err_msg=f"seed {seed}, row {row}")
 
