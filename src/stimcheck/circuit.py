@@ -39,8 +39,7 @@ class GateKind(Enum):
 
     @property
     def num_params(self) -> int:
-        count, _ = _PARAMETRISED_ENTRIES.get(self, (0, None))
-        return count
+        return _NUM_PARAMS[self]
 
 
 _T_PHASE = cmath.exp(1j * math.pi / 4)
@@ -94,6 +93,7 @@ _PARAMETRISED_ENTRIES = {
     GateKind.PHASE: (1, _phase),
     GateKind.U3: (3, _u3),
 }
+_NUM_PARAMS = {kind: _PARAMETRISED_ENTRIES.get(kind, (0, None))[0] for kind in GateKind}
 
 
 def gate_entries(kind: GateKind, params: tuple[float, ...] = ()) -> tuple[complex, ...]:
@@ -123,14 +123,17 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        qubits = (*self.controls, self.target)
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"controls and target must be distinct: {qubits}")
-        if any(q < 0 for q in qubits):
-            raise ValueError(f"negative qubit index: {qubits}")
-        if len(self.params) != self.kind.num_params:
+        # an uncontrolled gate on a non-negative target passes the qubit checks
+        if self.controls or self.target < 0:
+            qubits = (*self.controls, self.target)
+            if len(set(qubits)) != len(qubits):
+                raise ValueError(f"controls and target must be distinct: {qubits}")
+            if any(q < 0 for q in qubits):
+                raise ValueError(f"negative qubit index: {qubits}")
+        count = _NUM_PARAMS[self.kind]
+        if len(self.params) != count:
             raise ValueError(
-                f"{self.kind.name} takes {self.kind.num_params} parameter(s), got {len(self.params)}"
+                f"{self.kind.name} takes {count} parameter(s), got {len(self.params)}"
             )
 
     @property
@@ -152,9 +155,10 @@ class Circuit:
         if self.num_qubits < 1:
             raise ValueError(f"num_qubits must be positive, got {self.num_qubits}")
         object.__setattr__(self, "gates", tuple(self.gates))
+        n = self.num_qubits
         for g in self.gates:
-            if any(q >= self.num_qubits for q in g.qubits):
-                raise ValueError(f"gate {g} out of range for {self.num_qubits} qubits")
+            if g.target >= n or (g.controls and max(g.controls) >= n):
+                raise ValueError(f"gate {g} out of range for {n} qubits")
 
     @property
     def gate_count(self) -> int:

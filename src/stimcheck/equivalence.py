@@ -14,7 +14,8 @@ the prepared block and the realization on one copy, so two blocks are
 live; both are freed before the next block is prepared. A row is a state,
 a (2^n,) array as in `simulator`, so `fidelity` compares rows as they are.
 Only the row that detects an error gets its preparation circuit rebuilt,
-as the witness, from its recorded draws.
+as the witness, from its recorded draws; the circuit is assembled from a
+per-n table of shared gates (`stimuli._gate_table`), not built gate by gate.
 
 `trace_fidelity` takes the same block step on classical stimuli, the
 consecutive computational basis states 0, 1, ..., 2^n - 1, and sums

@@ -131,19 +131,21 @@ def apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
         raise ValueError(f"state length {len(amps)} is not a power of two")
     if any(q >= n for q in gate.qubits):
         raise ValueError(f"gate {gate} out of range for {n} qubits")
+    if amps.dtype.kind != "c":
+        raise ValueError(f"state dtype {amps.dtype} is not complex; apply_gate works in place")
     kernels.apply_2x2(amps, n, gate.target, _control_mask(gate),
                       *gate_entries(gate.kind, gate.params))
     return amps
 
 
 def simulate(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
-    """Apply the circuit's compiled kernel ops to a copy of `initial`, which
-    is not mutated, and return the copy."""
+    """Apply the circuit's compiled kernel ops to a complex copy of
+    `initial`, which is not mutated, and return the copy."""
     if len(initial) != 1 << circuit.num_qubits:
         raise ValueError(
             f"circuit has {circuit.num_qubits} qubits but state has {len(initial)} amplitudes"
         )
-    amps = initial.copy()
+    amps = np.array(initial, dtype=complex)
     run_ops(amps, circuit.num_qubits, compile_ops(circuit))
     return amps
 

@@ -18,13 +18,18 @@ states directly as a (B, 2^n) block: one amplitude per row for classical,
 and an outer product of single-qubit states for local. A global row is a
 stabilizer state, which `clifford.CHForm` tracks gate by gate in polynomial
 time before writing the row's amplitudes once. `Draws.prep` rebuilds one
-row's preparation circuit, which the verifier does only for a witness;
-`next_stimulus` is a draw of one row turned into a `Stimulus`.
+row's preparation circuit, which the verifier does only for a witness. It
+assembles the circuit from a per-n table of shared gates, built on the first
+witness at that qubit count, so a witness costs about as much as copying
+references to its gates. `next_stimulus` is a draw of one row turned into a
+`Stimulus`.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import compress
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,17 +100,10 @@ LOCAL_PREP_WORDS: tuple[tuple[GateKind, ...], ...] = (
 )
 
 
-def local_prep(choice) -> Circuit:
-    """Preparation circuit putting qubit q in state LOCAL_PREP_WORDS[choice[q]]."""
-    gates = tuple(
-        Gate(kind, q) for q, word in enumerate(choice) for kind in LOCAL_PREP_WORDS[word]
-    )
-    return Circuit(len(choice), gates, name="local-stimulus")
-
-
 # The six single-qubit states, one row each, in the order of LOCAL_PREP_WORDS.
-_LOCAL_STATES = np.array([simulate(local_prep([word]), zero_state(1))
-                          for word in range(len(LOCAL_PREP_WORDS))])
+_LOCAL_STATES = np.array([simulate(Circuit(1, tuple(Gate(kind, 0) for kind in word)),
+                                   zero_state(1))
+                          for word in LOCAL_PREP_WORDS])
 
 
 def _single_qubit_cliffords() -> tuple[tuple[GateKind, ...], ...]:
@@ -135,6 +133,45 @@ def _single_qubit_cliffords() -> tuple[tuple[GateKind, ...], ...]:
 
 
 CLIFFORD_1Q_WORDS = _single_qubit_cliffords()
+
+
+class _GateTable(NamedTuple):
+    """Every gate a stimulus preparation at one qubit count uses, built once:
+    `clifford[q][w]` and `local[q][w]` are the gates of word w of
+    CLIFFORD_1Q_WORDS and LOCAL_PREP_WORDS on qubit q, `x[q]` is X on q, and
+    `cx[a][b]` is the CNOT with control a and target b."""
+    clifford: tuple[tuple[tuple[Gate, ...], ...], ...]
+    local: tuple[tuple[tuple[Gate, ...], ...], ...]
+    x: tuple[Gate, ...]
+    cx: tuple[tuple[Gate | None, ...], ...]
+
+
+@functools.cache
+def _gate_table(num_qubits: int) -> _GateTable:
+    """The gate table at `num_qubits`, built on its first use. `Gate` is
+    frozen, so every witness at that qubit count shares these gates."""
+    qubits = range(num_qubits)
+    single = {kind: tuple(Gate(kind, q) for q in qubits)
+              for kind in (GateKind.X, GateKind.H, GateKind.S)}
+
+    def words(table):
+        return tuple(tuple(tuple(single[kind][q] for kind in word) for word in table)
+                     for q in qubits)
+
+    return _GateTable(
+        words(CLIFFORD_1Q_WORDS),
+        words(LOCAL_PREP_WORDS),
+        single[GateKind.X],
+        tuple(tuple(Gate(GateKind.X, b, controls=(a,)) if a != b else None for b in qubits)
+              for a in qubits),
+    )
+
+
+def local_prep(choice) -> Circuit:
+    """Preparation circuit putting qubit q in state LOCAL_PREP_WORDS[choice[q]]."""
+    local = _gate_table(len(choice)).local
+    gates = tuple(gate for q, word in enumerate(choice) for gate in local[q][word])
+    return Circuit(len(choice), gates, name="local-stimulus")
 
 
 def _draw_global(num_qubits: int, layers: int, gen: np.random.Generator):
@@ -171,7 +208,8 @@ class Draws:
       that sub-round's CNOTs.
 
     `prepare` builds the prepared states directly, without circuits; `prep`
-    builds one row's preparation circuit, for a witness.
+    assembles one row's preparation circuit, for a witness, from the shared
+    gates of `_gate_table`.
     """
     scheme: Scheme  # for global, with the layer count resolved
     choices: np.ndarray
@@ -189,15 +227,16 @@ class Draws:
         n = self.num_qubits
         choice = self.choices[row].tolist()
         if self.scheme.kind == "classical":
-            gates = tuple(Gate(GateKind.X, q) for q in range(n) if choice[q])
-            return Circuit(n, gates, name="classical-stimulus")
+            return Circuit(n, tuple(compress(_gate_table(n).x, choice)),
+                           name="classical-stimulus")
         if self.scheme.kind == "local":
             return local_prep(choice)
+        table = _gate_table(n)
         gates: list[Gate] = []
         for words, matching in zip(choice, self.pairs[row].tolist()):
             for q, word in enumerate(words):
-                gates.extend(Gate(kind, q) for kind in CLIFFORD_1Q_WORDS[word])
-            gates.extend(Gate(GateKind.X, b, controls=(a,)) for a, b in matching)
+                gates.extend(table.clifford[q][word])
+            gates.extend(table.cx[a][b] for a, b in matching)
         return Circuit(n, tuple(gates), name="global-stimulus")
 
     def stimulus(self, row: int, seed_tag: str) -> Stimulus:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,14 +81,56 @@ def test_gate_count_additive_after_toffoli_insertion():
     assert grown.gate_count == 12
 
 
+def raises_exactly(message: str):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
 def test_gate_rejects_duplicate_qubits():
-    with pytest.raises(ValueError):
-        Gate(GateKind.X, 1, controls=(1,))
+    for target, controls, qubits in ((1, (1,), "(1, 1)"), (0, (2, 1, 2), "(2, 1, 2, 0)")):
+        with raises_exactly(f"controls and target must be distinct: {qubits}"):
+            Gate(GateKind.X, target, controls=controls)
+
+
+@pytest.mark.parametrize("target,controls,qubits", [
+    (-1, (), "(-1,)"),
+    (-2, (0,), "(0, -2)"),
+    (1, (-1,), "(-1, 1)"),
+    (2, (0, -3), "(0, -3, 2)"),
+])
+def test_gate_rejects_negative_qubits(target, controls, qubits):
+    with raises_exactly(f"negative qubit index: {qubits}"):
+        Gate(GateKind.X, target, controls=controls)
+
+
+@pytest.mark.parametrize("kind,controls,params,message", [
+    (GateKind.RX, (), (), "RX takes 1 parameter(s), got 0"),
+    (GateKind.U3, (), (0.1, 0.2), "U3 takes 3 parameter(s), got 2"),
+    (GateKind.H, (), (0.1,), "H takes 0 parameter(s), got 1"),
+    (GateKind.PHASE, (1,), (), "PHASE takes 1 parameter(s), got 0"),
+    (GateKind.X, (1,), (0.5,), "X takes 0 parameter(s), got 1"),
+])
+def test_gate_rejects_wrong_param_count(kind, controls, params, message):
+    with raises_exactly(message):
+        Gate(kind, 0, controls=controls, params=params)
 
 
 def test_circuit_rejects_out_of_range_gate():
-    with pytest.raises(ValueError):
-        Circuit(2, (Gate(GateKind.H, 2),))
+    for gate in (
+        Gate(GateKind.H, 2),
+        Gate(GateKind.RZ, 5, params=(0.1,)),
+        Gate(GateKind.X, 2, controls=(0,)),
+        Gate(GateKind.X, 0, controls=(2,)),
+        Gate(GateKind.X, 1, controls=(0, 2)),
+        Gate(GateKind.X, 0, controls=(3, 1)),
+    ):
+        with raises_exactly(f"gate {gate} out of range for 2 qubits"):
+            Circuit(2, (Gate(GateKind.H, 0), gate))
+
+
+def test_circuit_accepts_gates_on_its_last_qubit():
+    gates = (Gate(GateKind.H, 2), Gate(GateKind.X, 0, controls=(2,)),
+             Gate(GateKind.X, 1, controls=(0, 2)))
+    assert Circuit(3, gates).gates == gates
 
 
 def test_circuit_rejects_nonpositive_qubits():

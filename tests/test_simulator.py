@@ -91,6 +91,24 @@ def test_simulate_qubit_mismatch():
         simulate(Circuit(2), np.ones(6, dtype=complex))
 
 
+@pytest.mark.parametrize("initial", [np.array([1.0, 0.0]), np.array([1, 0])],
+                         ids=["float", "int"])
+def test_simulate_copies_a_real_state_into_a_complex_one(initial):
+    # S then H on |0> gives |+>, which a real array can hold only after S
+    out = simulate(Circuit(1, (Gate(GateKind.S, 0), Gate(GateKind.H, 0))), initial)
+    assert out.dtype == complex
+    np.testing.assert_allclose(out, [SQRT2_INV, SQRT2_INV], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(initial, [1, 0])
+
+
+@pytest.mark.parametrize("dtype", [float, np.int64])
+def test_apply_gate_rejects_a_non_complex_state(dtype):
+    state = np.array([1, 0], dtype=dtype)
+    with pytest.raises(ValueError, match=f"state dtype {np.dtype(dtype)} is not complex"):
+        apply_gate(state, Gate(GateKind.H, 0))
+    np.testing.assert_array_equal(state, [1, 0])
+
+
 def test_fidelity_self_is_one():
     state = simulate(example3_circuit(), zero_state(2))
     assert abs(fidelity(state, state) - 1.0) < 1e-12

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -18,10 +20,12 @@ from stimcheck.stimuli import (
     CLIFFORD_1Q_WORDS,
     LOCAL,
     LOCAL_PREP_WORDS,
+    Draws,
     RandomSource,
     Scheme,
     draw,
     global_scheme,
+    local_prep,
     next_stimulus,
 )
 
@@ -269,6 +273,61 @@ def test_draw_rows_from_separate_streams_match_next_stimulus():
     draws = draw(global_scheme(2), 4, sources)
     for row in range(5):
         assert draws.prep(row) == next_stimulus(global_scheme(2), 4, RandomSource(301, row)).prep
+
+
+def fresh_prep(draws: Draws, row: int) -> Circuit:
+    """A row's preparation circuit with every gate constructed here, from the
+    row's draws alone, as the scheme defines it."""
+    n, choice = draws.num_qubits, draws.choices[row].tolist()
+    if draws.scheme.kind == "classical":
+        gates = [Gate(GateKind.X, q) for q in range(n) if choice[q] == 1]
+    elif draws.scheme.kind == "local":
+        gates = [Gate(kind, q) for q in range(n) for kind in LOCAL_PREP_WORDS[choice[q]]]
+    else:
+        gates = []
+        for words, matching in zip(choice, draws.pairs[row].tolist()):
+            for q in range(n):
+                gates += [Gate(kind, q) for kind in CLIFFORD_1Q_WORDS[words[q]]]
+            gates += [Gate(GateKind.X, target, controls=(control,))
+                      for control, target in matching]
+    return Circuit(n, tuple(gates))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 8, 12])
+@pytest.mark.parametrize("scheme", [CLASSICAL, LOCAL, global_scheme()],
+                         ids=["classical", "local", "global"])
+def test_witness_equals_its_gates_built_fresh(n, scheme):
+    draws = draw(scheme, n, [RandomSource(320, n)] * 5)
+    for row in range(len(draws)):
+        witness, expected = draws.prep(row), fresh_prep(draws, row)
+        assert witness == expected
+        assert emit_qasm(witness) == emit_qasm(expected)
+        assert witness.name == f"{scheme.kind}-stimulus"
+
+
+def test_witnesses_at_one_qubit_count_share_their_gates():
+    n = 5
+    blocks = {
+        "classical": [Draws(CLASSICAL, np.ones((1, n), dtype=np.intp))] * 2,
+        "local": [Draws(LOCAL, np.full((1, n), word, dtype=np.intp)) for word in (3, 5)],
+        "global": [draw(global_scheme(), n, [RandomSource(321, k)]) for k in range(2)],
+    }
+    for scheme, (first, second) in blocks.items():
+        a, b = first.prep(0).gates, second.prep(0).gates
+        interned = {gate: gate for gate in a}
+        shared = [gate for gate in b if gate in interned]
+        assert shared, scheme
+        assert all(interned[gate] is gate for gate in shared), scheme
+    # local_prep takes its gates from the same table as Draws.prep
+    assert local_prep([1] * n).gates[0] is blocks["classical"][0].prep(0).gates[0]
+
+
+def test_importing_the_package_builds_no_gate_table():
+    code = ("import stimcheck.cli, stimcheck.stimuli as s; "
+            "print(s._gate_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "0"
 
 
 # One layer (two sub-rounds) of global draws from RandomSource(2024, seed), as
