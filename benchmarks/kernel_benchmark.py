@@ -27,6 +27,10 @@ verifier's block stimulus engine.
    calls and `oracle.avg_fidelity`) and for `equivalence.trace_fidelity`,
    at n = 4 and 6, and for `trace_fidelity` alone at n = 8, past the
    oracle's limit.
+6. Parsing, in us per gate: `parse_qasm`, which reads each gate statement
+   with one regex match, against the token parser `_Parser(source).parse()`
+   it must agree with, on the `emit_qasm` texts of the bundled corpus (all
+   nine circuits per pass) and of qft(16).
 
 Usage: python3 benchmarks/kernel_benchmark.py [--max-qubits N] [--repeats R] [--json PATH]
 
@@ -44,10 +48,10 @@ import time
 
 import numpy as np
 
-from stimcheck import kernels, oracle
+from stimcheck import kernels, oracle, qasm
 from stimcheck.circuit import Gate, GateKind
 from stimcheck.equivalence import trace_fidelity
-from stimcheck.library import qft
+from stimcheck.library import bundled_corpus, qft
 from stimcheck.mutation import ErrorOption, mutate
 from stimcheck.simulator import compile_ops, run_ops, simulate, zero_state
 from stimcheck.stimuli import CLASSICAL, LOCAL, RandomSource, draw, global_scheme, next_stimulus
@@ -216,6 +220,17 @@ def main() -> None:
     show(tables, "equivalence_filter_ms",
          "equivalence filter, qft(n) against an insert_2 mutant, ms per pair:",
          [("qubits", 6, "d"), ("oracle", 10, ".2f"), ("trace", 10, ".2f")], pairs)
+
+    parsers = {"parse_qasm": qasm.parse_qasm, "_Parser": lambda text: qasm._Parser(text).parse()}
+    parses = []
+    for label, circuits in (("bundled corpus", bundled_corpus()), ("qft(16)", [qft(16)])):
+        texts = [qasm.emit_qasm(c) for c in circuits]
+        gates = sum(c.gate_count for c in circuits)
+        parses.append({"input": label, "gates": gates, **{
+            name: best_seconds(lambda: [parse(t) for t in texts], args.repeats) / gates * 1e6
+            for name, parse in parsers.items()}})
+    show(tables, "parse_us_per_gate", "parsing emitted QASM, us per gate:",
+         [("input", 14, ""), ("gates", 6, "d")] + [(name, 10, ".2f") for name in parsers], parses)
 
     if args.json:
         report = {

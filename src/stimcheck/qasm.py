@@ -8,6 +8,18 @@ count `circuit.py` gives it. On top of those, u2 is read as u3 with
 theta = pi/2, and cx and ccx spell X with one or two controls.
 Angle expressions allow numeric literals, pi, unary minus, and * /.
 Anything else is a parse error.
+
+`parse_qasm` reads the header, and then each gate statement, with one match
+of a compiled regex, and builds the statement's `Gate` directly. The match
+accepts a strict subset of the language: parameters are plain number
+literals, and no comment sits inside a statement. For every statement it
+accepts it builds exactly the gate the token parser `_Parser` reads. At the
+first statement it declines (no match, an unknown gate, another register,
+a wrong arity, an index out of range, a repeated qubit) `_Parser` takes over
+for the rest of the source, with the gates read so far. There is one such
+handoff and no return to the match after it. `_Parser` is the only code that
+builds a diagnostic, so `parse_qasm` returns the circuit, or raises the
+diagnostic, that `_Parser(source).parse()` does for every source.
 """
 from __future__ import annotations
 
@@ -36,13 +48,16 @@ class QasmError(Exception):
         self.diagnostic = diagnostic
 
 
+_NUMBER = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
+_NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
+
 # The last alternative matches any character the others do not, so that
 # `finditer` leaves no gaps and reports it as unexpected.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<skip>\s+|//[^\n]*)
-  | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_.]*)
+  | (?P<number>{_NUMBER})
+  | (?P<name>{_NAME})
   | (?P<string>"[^"]*")
   | (?P<punct>[;,\[\]()*/\-])
   | (?P<other>.)
@@ -62,6 +77,31 @@ _GATE_TABLE = {
 # int(), which raises ValueError past sys.get_int_max_str_digits() digits.
 _MAX_INT_DIGITS = 18
 
+# The statement match of `parse_qasm`. `_SKIP` is whitespace and comments,
+# where the tokenizer skips them; each comment must run to its line end, so
+# that backtracking cannot leave part of one to be read as a statement.
+_SKIP = r"(?:\s|//[^\n]*(?![^\n]))*"
+# What ends a name token: without it, `hq[0]` would read as `h q[0]`.
+_NAME_END = r"(?![A-Za-z0-9_.])"
+_INTEGER = rf"(\d{{1,{_MAX_INT_DIGITS}}})"
+_HEADER_RE = re.compile(
+    rf"""{_SKIP} OPENQASM{_NAME_END} {_SKIP} 2\.0 {_SKIP} ; {_SKIP}
+    (?: include{_NAME_END} {_SKIP} "qelib1\.inc" {_SKIP} ; {_SKIP} )?
+    qreg{_NAME_END} {_SKIP} ({_NAME}) {_SKIP} \[ {_SKIP} {_INTEGER} {_SKIP} \] {_SKIP} ; {_SKIP}""",
+    re.VERBOSE,
+)
+# One gate statement and the skip after it: name, parameter list (plain
+# number literals with an optional minus, no whitespace), register and one
+# to three indices (the register repeated), all as the tokenizer splits them.
+_SIGNED_NUMBER = rf"-?(?:{_NUMBER})"
+_INDEX = rf"\s*\[\s*{_INTEGER}\s*\]"
+_STATEMENT_RE = re.compile(
+    rf"""({_NAME}){_NAME_END} (?: \( ({_SIGNED_NUMBER}(?:,{_SIGNED_NUMBER})*) \) )?
+    \s* (?P<reg>{_NAME}) {_INDEX} (?: \s*,\s* (?P=reg) {_INDEX} (?: \s*,\s* (?P=reg) {_INDEX} )? )?
+    \s* ; {_SKIP}""",
+    re.VERBOSE,
+)
+
 
 class _Token(NamedTuple):
     kind: str
@@ -76,9 +116,9 @@ def _diagnostic(source: str, offset: int, message: str) -> QasmError:
     return QasmError(ParseDiagnostic(line, column, message))
 
 
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str, offset: int = 0) -> list[_Token]:
     tokens = []
-    for m in _TOKEN_RE.finditer(source):
+    for m in _TOKEN_RE.finditer(source, offset):
         kind = m.lastgroup
         if kind == "other":
             raise _diagnostic(source, m.start(), f"unexpected character {m.group()!r}")
@@ -89,9 +129,14 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, source: str):
+    """The token parser: `_Parser(source).parse()` reads a whole source and is
+    the only code that builds a diagnostic. `_Parser(source, offset)` starts
+    at a statement boundary, for `parse_gates` to read the statements that
+    the statement match of `parse_qasm` declined."""
+
+    def __init__(self, source: str, offset: int = 0):
         self.source = source
-        self.tokens = _tokenize(source)
+        self.tokens = _tokenize(source, offset)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -128,7 +173,10 @@ class _Parser:
             self.expect("punct", ";")
 
         reg_name, num_qubits = self.parse_qreg()
-        gates: list[Gate] = []
+        return self.parse_gates(reg_name, num_qubits, [])
+
+    def parse_gates(self, reg_name: str, num_qubits: int, gates: list[Gate]) -> Circuit:
+        """Read gate statements to the end of the source, after `gates`."""
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.kind == "name" and tok.text == "qreg":
@@ -232,9 +280,56 @@ class _Parser:
         self.fail(f"expected a number or pi, found {tok.text or 'end of input'!r}")
 
 
+def _matched_gate(name: str, params: str | None, reg: str, a: str, b: str | None,
+                  c: str | None, reg_name: str, num_qubits: int) -> Gate | None:
+    """The gate `_Parser` reads from the fields of one `_STATEMENT_RE` match,
+    or None where it would read something else or raise a diagnostic."""
+    entry = _GATE_TABLE.get(name)
+    if entry is None or reg != reg_name:
+        return None
+    kind, qubit_arity, param_arity = entry
+    indices = (a,) if b is None else (a, b) if c is None else (a, b, c)
+    if len(indices) != qubit_arity:
+        return None
+    qubits = tuple(map(int, indices))
+    if max(qubits) >= num_qubits or (qubit_arity > 1 and len(set(qubits)) != qubit_arity):
+        return None
+    if params is None:
+        return None if param_arity else Gate(kind, qubits[-1], qubits[:-1])
+    values = tuple(map(float, params.split(",")))
+    if len(values) != param_arity or not all(map(math.isfinite, values)):
+        return None
+    if name == "u2":  # u2(phi, lam) = u3(pi/2, phi, lam)
+        values = (math.pi / 2, *values)
+    return Gate(kind, qubits[-1], qubits[:-1], values)
+
+
 def parse_qasm(source: str) -> Circuit:
-    """Parse the QASM subset. Raises QasmError carrying a ParseDiagnostic."""
-    return _Parser(source).parse()
+    """Parse the QASM subset. Raises QasmError carrying a ParseDiagnostic.
+
+    The header and each gate statement are read with one regex match, until
+    the first one the match declines; `_Parser` reads the rest (see the
+    module docstring).
+    """
+    header = _HEADER_RE.match(source)
+    if header is None or int(header[2]) < 1:
+        return _Parser(source).parse()
+    reg_name, num_qubits = header[1], int(header[2])
+    gates: list[Gate] = []
+    known: dict[str, Gate] = {}  # statement text -> its gate; circuits repeat statements
+    pos, end = header.end(), len(source)
+    match = _STATEMENT_RE.match
+    while pos < end and (m := match(source, pos)):
+        text = m.group()
+        gate = known.get(text) or _matched_gate(*m.groups(), reg_name, num_qubits)
+        if gate is None:
+            break
+        known[text] = gate
+        gates.append(gate)
+        pos = m.end()
+    if pos == end:
+        return Circuit(num_qubits, tuple(gates), name=reg_name)
+    return _Parser(source, pos).parse_gates(reg_name, num_qubits, gates)
 
 
 def load_circuit(path: str | Path) -> Circuit:

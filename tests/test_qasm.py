@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,3 +230,128 @@ def test_integer_too_long_for_int_is_a_diagnostic(text):
     diag = exc.value.diagnostic
     assert (diag.line, diag.column) == (1, text.index("1" * 5000) + 1)
     assert "digits" in diag.message
+
+
+# --- the statement match against the token parser ------------------------------
+
+def outcome(parse, text):
+    """The circuit `parse` reads from `text`, every parameter to the bit, or
+    the diagnostic it raises."""
+    try:
+        circuit = parse(text)
+    except QasmError as exc:
+        return exc.diagnostic
+    return (circuit.num_qubits, circuit.name,
+            [(g.kind, g.target, g.controls, tuple(map(float.hex, g.params))) for g in circuit.gates])
+
+
+def reference(text):
+    return qasm._Parser(text).parse()
+
+
+def assert_same_as_reference(text):
+    assert outcome(parse_qasm, text) == outcome(reference, text)
+
+
+# Whole statements, statements the match must decline, and glued names.
+STATEMENT_FRAGMENTS = [
+    "h q[0];", "x q[2];", "id q[1];\n", "cx q[0],q[1];", "cx q[1], q[1];", "ccx q[0],q[1],q[2];",
+    "rz(0.5) q[1];", "rz(-.5e-3) q[0];", "u3(1,-2.5,3e1) q[2];", "u2(0.1,0.2) q[0];",
+    "u1(1e999) q[0];", "rx(pi/2) q[0];", "rx( 0.5 ) q[0];", "rx(1_0) q[0];", "rx(--1) q[0];",
+    "rx(inf) q[0];", "rx(-0.0) q[0];", "h(0.5) q[0];", "rx q[0];", "cx q[0];", "h q[0],q[1];",
+    "hq[0];", "cxq[0],q[1];", "h.x q[0];", "h q[3];", "h r[0];", "cx q[0],r[1];",
+    "x q[0000000000000000000001];", "h q [ 0 ] ;", "//h q[0];", "x q[1]; // done\n",
+    "qreg q[2];", "h q[0]", "$",
+]
+HEADERS = [
+    "OPENQASM 2.0;\nqreg q[3];\n",
+    'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n',
+    "OPENQASM 2.0; qreg q[3];",
+    "// c\nOPENQASM 2.0;//\nqreg//\nq[03]//x\n;",
+    "OPENQASM 2.0;\n//qreg r[2];\n",
+]
+statement_soup = st.lists(
+    st.tuples(st.sampled_from(STATEMENT_FRAGMENTS + QASM_FRAGMENTS), st.sampled_from(["", " ", "\n"])),
+    max_size=20,
+).map(lambda parts: "".join(a + b for a, b in parts))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(
+    st.text(max_size=120),
+    qasm_soup,
+    qasm_soup.map(lambda body: "OPENQASM 2.0;\nqreg q[3];\n" + body),
+    st.tuples(st.sampled_from(HEADERS), statement_soup).map("".join),
+))
+def test_parse_qasm_equals_the_token_parser(text):
+    assert_same_as_reference(text)
+
+
+HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
+
+
+@pytest.mark.parametrize("body,expected", [
+    # a comment holds a whole statement, up to its line end
+    ("//h q[0];", []),
+    ("//h q[0];\nx q[1];", [Gate(GateKind.X, 1)]),
+    # glued names are one token
+    ("hq[0];", "4:1: unknown gate 'hq'"),
+    ("cxq[0],q[1];", "4:1: unknown gate 'cxq'"),
+    # a zero-padded index longer than the digit cap is still an index
+    ("x q[" + "0" * 25 + "2];", [Gate(GateKind.X, 2)]),
+    ("x q[" + "0" * 25 + "3];", "4:5: qubit index 3 out of range for q[3]"),
+    # parameters are number literals as the tokenizer reads them
+    ("rx(1_0) q[0];", "4:5: expected ')', found '_0'"),
+    ("rx(inf) q[0];", "4:4: expected a number or pi, found 'inf'"),
+    ("x q[0];\nqreg r[2];", "5:1: multiple quantum registers are not supported"),
+    # the first bad character wins over an earlier grammar error
+    ("h q[0];\nfoo q[1];\nx q[2];\n$", "7:1: unexpected character '$'"),
+], ids=["comment", "comment-then-gate", "glued-h", "glued-cx", "padded-index",
+        "padded-index-out-of-range", "underscore", "inf", "second-qreg", "dollar-after-unknown-gate"])
+def test_match_declines_what_the_token_parser_reads_otherwise(body, expected):
+    text = HEADER + body
+    assert_same_as_reference(text)
+    if isinstance(expected, list):
+        assert parse_qasm(text).gates == tuple(expected)
+    else:
+        with pytest.raises(QasmError) as exc:
+            parse_qasm(text)
+        assert str(exc.value.diagnostic) == expected
+
+
+def test_commented_out_register_is_not_read():
+    text = "OPENQASM 2.0;\n//qreg q[2];\n"
+    assert_same_as_reference(text)
+    with pytest.raises(QasmError, match="expected 'qreg', found 'end of input'"):
+        parse_qasm(text)
+
+
+def test_match_hands_over_once_at_the_first_declined_statement():
+    text = HEADER + "h q[0];\ncx q[0],q[1];\nrz(pi/2) q[2];\nx q[1];\nu1(0.5) q[0];\n"
+    offsets = []
+
+    class Spy(qasm._Parser):
+        def __init__(self, source, offset=0):
+            offsets.append(offset)
+            super().__init__(source, offset)
+
+    expected = outcome(reference, text)
+    with mock.patch.object(qasm, "_Parser", Spy):
+        assert outcome(parse_qasm, text) == expected
+    assert offsets == [text.index("rz(pi/2)")]
+
+
+class _NoHandoff:
+    def __init__(self, *args):
+        raise AssertionError("parse_qasm handed over to the token parser")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 60))
+def test_emitted_text_never_hands_over(seed, num_qubits, num_gates):
+    circuit = random_circuit(num_qubits, num_gates, RandomSource(seed),
+                             with_rotations=True, with_toffoli=True)
+    text = emit_qasm(circuit)
+    with mock.patch.object(qasm, "_Parser", _NoHandoff):
+        parsed = parse_qasm(text)
+    assert outcome(lambda _: parsed, text) == outcome(reference, text)
