@@ -19,9 +19,11 @@ verifier's block stimulus engine.
 4. One global stimulus (one layer per qubit) at n = 4, 8, ..., 20, up to
    max-qubits: the time per `Draws.prepare` of a one-row block, which goes
    through the stabilizer CH-form, against simulating the same preparation
-   circuit gate by gate with `simulate`; and at n = 12 the time per row of a
-   16-row block, whose rows each go through their own CH-form, as in
-   `verify`.
+   circuit gate by gate with `simulate`; the tracemalloc peak of one such
+   `prepare` in a new thread, in bytes per amplitude (the block itself is
+   16), measured in a call of its own so that tracing slows no timed call;
+   and at n = 12 the time per row of a 16-row block, whose rows each go
+   through their own CH-form, as in `verify`.
 5. The equivalence filter of `bench`, for qft(n) against an insert_2
    mutant: ms per pair for the oracle route (two `oracle.build_unitary`
    calls and `oracle.avg_fidelity`) and for `equivalence.trace_fidelity`,
@@ -44,7 +46,9 @@ import argparse
 import json
 import os
 import platform
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -126,6 +130,24 @@ def block_engine_row(scheme, num_qubits: int, rows: int, repeats: int) -> tuple[
 ENGINE_LAYERS = ("draw", "prepare", "spec+impl")
 
 
+def peak_bytes(step) -> int:
+    """The tracemalloc peak of one call of `step` in a new thread."""
+    peaks = []
+
+    def traced():
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=traced)
+    thread.start()
+    thread.join()
+    return peaks[0]
+
+
 def witness_us(scheme, num_qubits: int, repeats: int, loops: int = 20) -> float:
     """Best-of-`repeats` time of `Draws.stimulus` on one row, the witness
     `verify` builds for a detecting row, in us."""
@@ -196,9 +218,12 @@ def main() -> None:
             "qubits": n,
             "prepare": best_seconds(draws.prepare, args.repeats) * 1e3,
             "simulate": best_seconds(lambda: simulate(circuit, zero_state(n)), args.repeats) * 1e3,
+            "peak_B_per_amp": peak_bytes(draws.prepare) / (1 << n),
         })
-    show(tables, "global_prepare_ms", "one global stimulus, ms per preparation:",
-         [("qubits", 6, "d"), ("prepare", 10, ".2f"), ("simulate", 10, ".2f")], preparations)
+    show(tables, "global_prepare_ms",
+         "one global stimulus, ms per preparation, and peak bytes per amplitude of prepare:",
+         [("qubits", 6, "d"), ("prepare", 10, ".2f"), ("simulate", 10, ".2f"),
+          ("peak_B_per_amp", 14, ".2f")], preparations)
     rows = 16
     block = draw(global_scheme(), 12, [RandomSource(5, 12)] * rows)
     show(tables, "global_block_n12", f"block of {rows} rows at n = 12, one CH-form per row:",

@@ -20,6 +20,7 @@ import csv
 import math
 import statistics
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -166,9 +167,14 @@ def run_benchmark(config: BenchmarkConfig) -> list[BenchmarkRow]:
     return run_benchmark_circuits(circuits, config)
 
 
-def write_csv(rows: list[BenchmarkRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.as_record())
+def write_csv(rows: list[BenchmarkRow], out: str | TextIO) -> None:
+    """Write the header and the rows as CSV to the file at path `out`, or to
+    the open text stream `out`."""
+    if isinstance(out, str):
+        with open(out, "w", newline="") as fh:
+            write_csv(rows, fh)
+        return
+    writer = csv.writer(out)
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow(row.as_record())

@@ -122,7 +122,7 @@ def _cmd_bench(args) -> int:
     )
     rows = run_benchmark(config)
     if args.format == "csv" and not config.output_path:
-        write_csv(rows, "/dev/stdout")
+        write_csv(rows, sys.stdout)
     else:
         for row in rows:
             print(f"{row.circuit:>14} n={row.num_qubits:<3} {row.scheme:>9} "

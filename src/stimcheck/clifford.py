@@ -30,8 +30,6 @@ import math
 
 import numpy as np
 
-from .kernels import scratch_bytes
-
 # exp(i pi k / 4) for k = 0..7, and i^k for k = 0..3
 _R = math.sqrt(0.5)
 _EIGHTH_ROOTS = (1, _R + _R * 1j, 1j, -_R + _R * 1j, -1, -_R - _R * 1j, -1j, _R - _R * 1j)
@@ -210,8 +208,11 @@ class CHForm:
         bit p of an x below 2^p adds F_p to a and c_p + 2 x.w_p to theta,
         with c_p = gamma_p + 2 F_p.(M_p ^ (s & v)) and w_p[j] = F_j.M_p.
         Both are built by doubling over p, a (its bits off v only) in uint32
-        and theta mod 4 in uint8, in 6 bytes per amplitude of the kernel's
-        per-thread scratch (a dense kernel update needs 16).
+        and theta mod 4 in uint8: 6 bytes per amplitude of arrays of its
+        own, freed when it returns, before the verifier copies the block for
+        spec and impl. A table lookup then writes `out`, by chunks and with
+        clipped indices, so that `np.take` copies only a chunk of theta at a
+        time and never buffers `out`.
         """
         n, row = self.n, self._row
         size = 1 << n
@@ -219,10 +220,9 @@ class CHForm:
         rows_m = [(self.M >> (p * n)) & row for p in range(n)]
         nv = self.v ^ row
         sv = self.s & self.v
-        scratch = scratch_bytes(6 * size)
-        a = scratch[:4 * size].view(np.uint32)
-        theta = scratch[4 * size:5 * size]
-        step = scratch[5 * size:6 * size]  # theta's increment, later the support mask
+        a = np.empty(size, dtype=np.uint32)
+        theta = np.empty(size, dtype=np.uint8)
+        step = np.empty(size, dtype=np.uint8)  # theta's increment, later the support mask
         a[0] = theta[0] = 0
         for p in range(n):
             half = 1 << p
@@ -239,7 +239,9 @@ class CHForm:
         np.putmask(theta, mask, 4)  # off the support
         scale = _EIGHTH_ROOTS[self.omega] * _R ** self.v.bit_count()
         table = np.array([scale * z for z in _POWERS_OF_I] + [0], dtype=complex)
-        # `take` converts its indices to intp; a chunk bounds that copy to 64 KB.
+        # `take` copies its uint8 indices to intp, and in its default "raise"
+        # mode it also writes through a copy of `out`; chunks bound the first
+        # copy to 64 KB, and "clip", a no-op on indices 0..4, avoids the second.
         for start in range(0, size, _TAKE_CHUNK):
             stop = start + _TAKE_CHUNK
-            np.take(table, theta[start:stop], out=out[start:stop])
+            np.take(table, theta[start:stop], out=out[start:stop], mode="clip")

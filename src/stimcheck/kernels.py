@@ -17,9 +17,7 @@ half-state scratch buffers instead of allocating per gate. Each thread has
 its own pair, grown on demand and kept, so it holds one state's worth of
 memory for the largest n that thread simulated. Views of the pair are cached
 per half shape, because at small n building them costs as much as the update.
-Between kernel calls the same memory is lent out as bytes (`scratch_bytes`),
-so the CH-form builds a global stimulus's amplitudes in it and preparing a
-stimulus takes no memory beyond one block and this scratch.
+The pair is private to `apply_2x2`.
 """
 from __future__ import annotations
 
@@ -27,7 +25,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["apply_2x2", "available_backends", "backend_name", "scratch_bytes"]
+__all__ = ["apply_2x2", "available_backends", "backend_name"]
 
 BACKEND = "python"
 
@@ -63,16 +61,6 @@ def _scratch_like(x):
         views = buffer[:size].reshape(x.shape), buffer[size:2 * size].reshape(x.shape)
         scratch.views[x.shape] = views
     return views
-
-
-def scratch_bytes(size: int) -> np.ndarray:
-    """This thread's scratch as bytes, at least `size` of them. Its contents
-    are overwritten by the next anti-diagonal or dense update."""
-    scratch = _scratch
-    if scratch.buffer.nbytes < size:
-        scratch.buffer = np.empty(-(-size // scratch.buffer.itemsize), dtype=complex)
-        scratch.views.clear()
-    return scratch.buffer.view(np.uint8)
 
 
 def _halves(amps, num_qubits, target, control_mask):

@@ -54,7 +54,6 @@ def random_circuit(
     rng: RandomSource,
     with_rotations: bool = False,
     with_toffoli: bool = False,
-    name: str = "",
 ) -> Circuit:
     """Random circuit over Clifford+T and CNOT; optionally rotation gates with
     random angles and Toffolis."""
@@ -81,7 +80,7 @@ def random_circuit(
         kind = choice
         params = tuple(float(a) for a in gen.uniform(-math.pi, math.pi, size=kind.num_params))
         gates.append(Gate(kind, int(gen.integers(0, num_qubits)), params=params))
-    return Circuit(num_qubits, tuple(gates), name=name or f"random_{num_qubits}")
+    return Circuit(num_qubits, tuple(gates), name=f"random_{num_qubits}")
 
 
 FAMILIES = ("ghz", "qft", "random")

@@ -92,13 +92,8 @@ def ent_fidelity_via_omega(spec: Circuit, impl: Circuit) -> float:
     n = spec.num_qubits
     _check_limit(n, OMEGA_LIMIT)
     omega = omega_state(n)
-
-    def extended(circuit: Circuit) -> Circuit:
-        gates = tuple(Gate(g.kind, g.target, g.controls, g.params) for g in circuit.gates)
-        return Circuit(2 * n, gates)
-
-    out_spec = simulate(extended(spec), omega)
-    out_impl = simulate(extended(impl), omega)
+    out_spec = simulate(Circuit(2 * n, spec.gates), omega)
+    out_impl = simulate(Circuit(2 * n, impl.gates), omega)
     return fidelity(out_spec, out_impl)
 
 

@@ -7,7 +7,7 @@ Each `GateKind` is read and written under its value, with the parameter
 count `circuit.py` gives it. On top of those, u2 is read as u3 with
 theta = pi/2, and cx and ccx spell X with one or two controls.
 Angle expressions allow numeric literals, pi, unary minus, and * /.
-Anything else is a parse error.
+Digits and whitespace are ASCII only. Anything else is a parse error.
 
 `parse_qasm` reads the header, and then each gate statement, with one match
 of a compiled regex, and builds the statement's `Gate` directly. The match
@@ -62,7 +62,7 @@ _TOKEN_RE = re.compile(
   | (?P<punct>[;,\[\]()*/\-])
   | (?P<other>.)
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE | re.DOTALL | re.ASCII,
 )
 
 # spelling -> (kind, qubit arity, param arity), as the module docstring lists
@@ -88,7 +88,7 @@ _HEADER_RE = re.compile(
     rf"""{_SKIP} OPENQASM{_NAME_END} {_SKIP} 2\.0 {_SKIP} ; {_SKIP}
     (?: include{_NAME_END} {_SKIP} "qelib1\.inc" {_SKIP} ; {_SKIP} )?
     qreg{_NAME_END} {_SKIP} ({_NAME}) {_SKIP} \[ {_SKIP} {_INTEGER} {_SKIP} \] {_SKIP} ; {_SKIP}""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 # One gate statement and the skip after it: name, parameter list (plain
 # number literals with an optional minus, no whitespace), register and one
@@ -99,7 +99,7 @@ _STATEMENT_RE = re.compile(
     rf"""({_NAME}){_NAME_END} (?: \( ({_SIGNED_NUMBER}(?:,{_SIGNED_NUMBER})*) \) )?
     \s* (?P<reg>{_NAME}) {_INDEX} (?: \s*,\s* (?P=reg) {_INDEX} (?: \s*,\s* (?P=reg) {_INDEX} )? )?
     \s* ; {_SKIP}""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -100,6 +103,26 @@ class TestBench:
         with open(out, newline="") as fh:
             records = list(csv.reader(fh))
         assert len(records) == 1 + 2  # header + 1 option x 2 schemes
+
+    def test_csv_output_to_stdout(self, ghz_file, capsys):
+        code = main(["bench", ghz_file, *self.ARGS, "--format", "csv"])
+        assert code == EXIT_OK
+        records = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert records[0] == list(bench.CSV_HEADER)
+        assert [record[2:4] for record in records[1:]] == [["classical", "insert_1"],
+                                                           ["local", "insert_1"]]
+
+    def test_csv_output_appends_to_a_redirected_stdout(self, ghz_file, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_text("previous line\n")
+        with open(out, "a") as fh:
+            subprocess.run([sys.executable, "-m", "stimcheck.cli", "bench", ghz_file,
+                            *self.ARGS, "--format", "csv"], stdout=fh, check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        with open(out, newline="") as fh:
+            lines = fh.read().split("\r\n")
+        assert lines[0] == "previous line\n" + ",".join(bench.CSV_HEADER)
+        assert len(lines) == 1 + 2 + 1  # header, 1 option x 2 schemes, empty tail
 
     def test_layers_apply_to_global_only(self, ghz_file, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -1,5 +1,7 @@
 import itertools
 import math
+import threading
+import tracemalloc
 
 import pytest
 
@@ -265,6 +267,38 @@ def test_global_verify_at_16_qubits_matches_a_stimulus_by_stimulus_loop():
         report = verify(spec, impl, config)
         assert report.verdict is verdict
         _assert_same_report(report, _reference_run(spec, impl, stimuli, config.epsilon))
+
+
+def _first_verify_peak(spec, scheme) -> int:
+    """The tracemalloc peak of one verify of `spec` against itself with one
+    stimulus, run in a new thread, whose kernel scratch starts empty."""
+    peaks = []
+
+    def run():
+        tracemalloc.start()
+        try:
+            verify(spec, spec, VerificationConfig(scheme, max_stimuli=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return peaks[0]
+
+
+def test_global_verify_peaks_no_higher_than_a_local_one_at_18_qubits():
+    # A verify holds two blocks plus the kernel scratch, whatever the scheme:
+    # a global row's CH-form frees its arrays before the kernel scratch grows.
+    for scheme in (LOCAL, global_scheme()):  # one-time allocations stay out
+        verify(ghz(4), ghz(4), VerificationConfig(scheme, max_stimuli=1))
+    n = 18
+    spec = ghz(n)
+    local = _first_verify_peak(spec, LOCAL)
+    global_ = _first_verify_peak(spec, global_scheme())
+    assert global_ - local < 0.1 * (1 << n) * 16, (global_, local)
 
 
 # The reference loop is slow, so past this many stimuli it checks a prefix.

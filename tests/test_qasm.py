@@ -319,6 +319,22 @@ def test_match_declines_what_the_token_parser_reads_otherwise(body, expected):
         assert str(exc.value.diagnostic) == expected
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("OPENQASM 2.0;\nqreg q[\u0663];\n", "2:8: unexpected character '\u0663'"),
+    (HEADER + "h q[\uff11];", "4:5: unexpected character '\uff11'"),
+    (HEADER + "rx(\u0663.\u0665) q[2];", "4:4: unexpected character '\u0663'"),
+    (HEADER + "rx(3.\u0665) q[2];", "4:6: unexpected character '\u0665'"),
+    # whitespace is ASCII too
+    (HEADER + "h\u00a0q[0];", "4:2: unexpected character '\\xa0'"),
+], ids=["arabic-indic-register-size", "fullwidth-index", "arabic-indic-parameter",
+        "arabic-indic-fraction", "no-break-space"])
+def test_only_ascii_digits_and_whitespace_are_read(text, expected):
+    assert_same_as_reference(text)
+    with pytest.raises(QasmError) as exc:
+        parse_qasm(text)
+    assert str(exc.value.diagnostic) == expected
+
+
 def test_commented_out_register_is_not_read():
     text = "OPENQASM 2.0;\n//qreg q[2];\n"
     assert_same_as_reference(text)

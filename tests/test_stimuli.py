@@ -473,7 +473,8 @@ def test_one_row_global_prepare_peaks_below_two_states_at_20_qubits():
     peaks = []
 
     def prepare():
-        # a new thread starts with an empty scratch, so its allocation counts
+        # a new thread starts with an empty kernel scratch, so nothing an
+        # earlier test left there is reused
         tracemalloc.start()
         try:
             draws.prepare()
@@ -488,8 +489,8 @@ def test_one_row_global_prepare_peaks_below_two_states_at_20_qubits():
 
 
 def test_concurrent_one_row_global_prepares_match_sequential_ones():
-    # The CH-form's amplitude scratch is per thread, and numpy releases the
-    # interpreter lock inside its passes over the scratch.
+    # Each CH-form writes through arrays of its own, and numpy releases the
+    # interpreter lock inside its passes over them.
     n = 12
     draws = [draw(global_scheme(), n, [RandomSource(313, k)]) for k in range(4)]
     expected = [d.prepare() for d in draws]
