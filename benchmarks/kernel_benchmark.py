@@ -22,8 +22,10 @@ verifier's block stimulus engine.
    circuit gate by gate with `simulate`; the tracemalloc peak of one such
    `prepare` in a new thread, in bytes per amplitude (the block itself is
    16), measured in a call of its own so that tracing slows no timed call;
-   and at n = 12 the time per row of a 16-row block, whose rows each go
-   through their own CH-form, as in `verify`.
+   and at n = 4, 8 and 12 the time per row of a 16-row block, whose rows
+   each go through their own CH-form, one pass per sub-round, as in
+   `verify`. n = 4 and 8 are the sizes at which the equivalence workloads
+   and the global-ensemble acceptance test prepare their rows.
 5. The equivalence filter of `bench`, for qft(n) against an insert_2
    mutant: ms per pair for the oracle route (two `oracle.build_unitary`
    calls and `oracle.avg_fidelity`) and for `equivalence.trace_fidelity`,
@@ -225,10 +227,14 @@ def main() -> None:
          [("qubits", 6, "d"), ("prepare", 10, ".2f"), ("simulate", 10, ".2f"),
           ("peak_B_per_amp", 14, ".2f")], preparations)
     rows = 16
-    block = draw(global_scheme(), 12, [RandomSource(5, 12)] * rows)
-    show(tables, "global_block_n12", f"block of {rows} rows at n = 12, one CH-form per row:",
-         [("rows", 4, "d"), ("ms/row", 8, ".2f")],
-         [{"rows": rows, "ms/row": best_seconds(block.prepare, args.repeats) / rows * 1e3}])
+    blocks = []
+    for n in (4, 8, 12):
+        block = draw(global_scheme(), n, [RandomSource(5, n)] * rows)
+        blocks.append({"qubits": n, "rows": rows,
+                       "ms/row": best_seconds(block.prepare, args.repeats) / rows * 1e3})
+    show(tables, "global_block_ms_per_row",
+         f"global block of {rows} rows, one CH-form per row, ms per row:",
+         [("qubits", 6, "d"), ("rows", 4, "d"), ("ms/row", 8, ".3f")], blocks)
 
     pairs = []
     for n in (4, 6, 8):

@@ -7,6 +7,7 @@ Exit codes for verify: 0 = no discrepancy found, 1 = error detected,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -51,6 +52,13 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.witness_out:
+        # an unwritable witness path fails here, before the verify
+        witness = Path(args.witness_out)
+        if witness.is_dir() or not os.access(witness.parent, os.W_OK | os.X_OK):
+            print(f"error: cannot write the witness to {witness}: "
+                  "not a file in a writable directory", file=sys.stderr)
+            return EXIT_ERROR
     spec = load_circuit(args.spec)
     impl = load_circuit(args.impl)
     scheme = Scheme(args.scheme, args.layers)

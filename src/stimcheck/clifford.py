@@ -15,18 +15,38 @@ it conjugates X_p and Z_p into:
     U_C^-1 Z_p U_C = prod_j Z_j^G[p, j]
     U_C^-1 X_p U_C = i^gamma_p prod_j X_j^F[p, j] Z_j^M[p, j]
 
-A left S or CX is a few row operations on F, G, M and gamma. A left H turns
-the state into a sum of two basis states under U_C U_H, which right CX, CZ
-and S (column operations) fold back into one. Each bit matrix is a single
-Python int with row p in bits p*n .. p*n + n - 1, so a row or a column
-operation is a few big-int operations; gamma is two bit planes in the
-same layout, its bits at p*n. omega stays exact, as the index of an eighth
-root of unity, until `write` turns it and the power of sqrt(2) that U_H
-contributes into one complex.
+A left S or CX is a few row operations on F, G, M and gamma. A left X_p
+changes only s and omega: U_C^-1 X_p U_C = i^gamma_p X(F_p) Z(M_p), U_H
+swaps X and Z on the qubits in v, and X(F_p) Z(M_p) reordered as X then Z
+after that swap, applied to |s>, gives
+
+    X_p |phi> = omega i^gamma_p (-1)^beta U_C U_H |s ^ (F_p & ~v) ^ (M_p & v)>,
+    beta = parity((M_p & ~v & s) ^ (F_p & v & (s ^ M_p))),
+
+so s ^= (F_p & ~v) ^ (M_p & v) and omega += 2 gamma_p + 4 beta, both from
+the old s. It is the X half of the H update below. A left H turns the state
+into a sum of two basis states under U_C U_H, which right CX, CZ and S
+(column operations) fold back into one.
+
+A global stimulus is built in sub-rounds: one of the 24 single-qubit
+Cliffords on every qubit, then CNOTs. Each Clifford is written once as
+exp(i pi k / 4) S^c H^b S^a X^x (`WordForm`, X applied first, b at most 1):
+8 of the 24 need no H and 16 need one, where their shortest H, S words
+need 1.25 on average. `CHForm.apply_round` applies a whole sub-round, its
+words and then its CNOTs, holding the form in local variables and writing
+it back once; an H goes through `_h_update`, a function of the form's ints,
+which is the only place the H update is written.
+
+Each bit matrix is a single Python int with row p in bits p*n .. p*n + n - 1,
+so a row or a column operation is a few big-int operations; gamma is two
+bit planes in the same layout, its bits at p*n. omega stays exact, as the
+index of an eighth root of unity, until `write` turns it and the power of
+sqrt(2) that U_H contributes into one complex.
 """
 from __future__ import annotations
 
 import math
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,10 +57,6 @@ _POWERS_OF_I = (1, 1j, -1, -1j)
 _TAKE_CHUNK = 1 << 13
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 def _bits(x: int):
     """Indices of the set bits of x, lowest first."""
     while x:
@@ -49,8 +65,14 @@ def _bits(x: int):
         x ^= low
 
 
-def _lowest(x: int) -> int:
-    return (x & -x).bit_length() - 1
+class WordForm(NamedTuple):
+    """A single-qubit Clifford as exp(i pi k / 4) S^c H^b S^a X^x: X^x is
+    applied first, b is 0 or 1, a and c are 0..3 and k is 0..7."""
+    x: int
+    a: int
+    b: int
+    c: int
+    k: int
 
 
 def _h_decompose(h: int, delta: int) -> tuple[int, int, int, int]:
@@ -64,10 +86,84 @@ def _h_decompose(h: int, delta: int) -> tuple[int, int, int, int]:
     return (1, 1, 1, 1) if delta == 1 else (1, 1, 0, -1)
 
 
+def _h_update(n: int, row: int, col: int, F: int, G: int, M: int, g0: int, g1: int,
+              v: int, s: int, omega: int, p: int):
+    """Left H_p on the form (F, G, M, g0, g1, v, s, omega), by Prop. 4 of
+    Bravyi et al.; returns the form in the same order, omega not reduced.
+
+    H_p = (X_p + Z_p) / sqrt(2), and pushing U_C^-1 X_p U_C and
+    U_C^-1 Z_p U_C through U_H onto |s> gives
+    H_p |phi> = omega (-1)^alpha U_C U_H (|t> + i^delta |u>) / sqrt(2).
+    """
+    shift = p * n
+    g, f, m = (G >> shift) & row, (F >> shift) & row, (M >> shift) & row
+    nv = v ^ row
+    t = s ^ (g & v)
+    u = s ^ (f & nv) ^ (m & v)
+    alpha = (g & nv & s).bit_count() & 1
+    beta = ((m & nv & s) ^ (f & v & (m ^ s))).bit_count() & 1
+    delta = (((g0 >> shift) & 1) + 2 * (((g1 >> shift) & 1) + alpha + beta)) & 3
+    omega += 4 * alpha
+    if t == u:
+        # The two Paulis anticommute, so delta is odd and
+        # (1 + i^delta) / sqrt(2) is exp(+-i pi / 4).
+        return F, G, M, g0, g1, v, t, omega + (1 if delta == 1 else -1)
+    # Right CX and CZ on qubit q leave |t> and |u> differing in bit q only.
+    # These gates commute, so their column operations are done together.
+    differ = t ^ u
+    set0, set1 = differ & nv, differ & v
+    if set0:
+        # U_C <- U_C prod_i CX(q -> i) prod_j CZ(q, j), i over the rest of
+        # set0, j over set1
+        q = (set0 & -set0).bit_length() - 1
+        cx_targets = set0 ^ (1 << q)
+        f_q = (F >> q) & col
+        g_sum = m_sum = f_sum = 0
+        for i in _bits(cx_targets):
+            g_sum ^= G >> i
+            m_sum ^= M >> i
+        for j in _bits(set1):
+            f_sum ^= F >> j
+        f_sum &= col
+        # CX(q -> i): G[:, q] ^= G[:, i], F[:, i] ^= F[:, q], M[:, q] ^= M[:, i]
+        G ^= (g_sum & col) << q
+        F ^= f_q * cx_targets
+        # CZ(q, j): M[:, q] ^= F[:, j], M[:, j] ^= F[:, q], gamma += 2 F[:, q] F[:, j]
+        M ^= (((m_sum & col) ^ f_sum) << q) ^ (f_q * set1)
+        g1 ^= f_q & f_sum
+    else:
+        # U_C <- U_C prod_i CX(i -> q), i over the rest of set1
+        q = (set1 & -set1).bit_length() - 1
+        controls = set1 ^ (1 << q)
+        f_sum = 0
+        for i in _bits(controls):
+            f_sum ^= F >> i
+        # CX(i -> q): G[:, i] ^= G[:, q], F[:, q] ^= F[:, i], M[:, i] ^= M[:, q]
+        G ^= ((G >> q) & col) * controls
+        F ^= (f_sum & col) << q
+        M ^= ((M >> q) & col) * controls
+    bit = 1 << q
+    if t & bit:
+        # |u + e_q> + i^delta |u> = i^delta (|u> + i^-delta |u + e_q>)
+        y = u
+        omega += 2 * delta
+        delta = -delta & 3
+    else:
+        y = t
+    a, b, c, k = _h_decompose(v & bit, delta)
+    if a:
+        # U_C <- U_C S_q: M[:, q] ^= F[:, q], gamma -= F[:, q] (mod 4)
+        f = (F >> q) & col
+        M ^= f << q
+        g1 ^= f & ~g0
+        g0 ^= f
+    return (F, G, M, g0, g1, v | bit if b else v & ~bit, y | bit if c else y, omega + k)
+
+
 class CHForm:
-    """A stabilizer state in CH-form, starting as |0...0>. `apply_h`,
-    `apply_s` and `apply_cx` multiply it by a gate from the left; `write`
-    puts its amplitudes into an array."""
+    """A stabilizer state in CH-form, starting as |0...0>. `apply_round`
+    multiplies it from the left by one sub-round of a global stimulus;
+    `write` puts its amplitudes into an array."""
 
     __slots__ = ("n", "F", "G", "M", "g0", "g1", "v", "s", "omega", "_row", "_col")
 
@@ -85,117 +181,54 @@ class CHForm:
         shift = p * self.n
         return ((self.g0 >> shift) & 1) | ((self.g1 >> shift) & 1) << 1
 
-    def _set_gamma(self, p: int, value: int) -> None:
-        bit = 1 << (p * self.n)
-        self.g0 = (self.g0 & ~bit) | (bit if value & 1 else 0)
-        self.g1 = (self.g1 & ~bit) | (bit if value & 2 else 0)
-
-    def apply_s(self, q: int) -> None:
-        """Left S_q: X_q -> -Y_q = i^-1 X_q Z_q under U_C^-1 ... U_C."""
-        bit = 1 << (q * self.n)
-        self.M ^= self.G & (self._row << (q * self.n))
-        # gamma_q -= 1 (mod 4)
-        self.g1 ^= bit & ~self.g0
-        self.g0 ^= bit
-
-    def apply_cx(self, control: int, target: int) -> None:
-        """Left CX: X_c -> X_c X_t and Z_t -> Z_c Z_t under U_C^-1 ... U_C."""
-        n, row = self.n, self._row
-        c, t = control * n, target * n
-        f_t, m_c = (self.F >> t) & row, (self.M >> c) & row
-        self._set_gamma(control, self._gamma(control) + self._gamma(target)
-                        + 2 * _parity(m_c & f_t))
-        self.G ^= ((self.G >> c) & row) << t
-        self.F ^= f_t << c
-        self.M ^= ((self.M >> t) & row) << c
-
-    def _right_s(self, q: int) -> None:
-        """U_C <- U_C S_q."""
-        f = (self.F >> q) & self._col
-        self.M ^= f << q
-        # gamma -= F[:, q] (mod 4)
-        self.g1 ^= f & ~self.g0
-        self.g0 ^= f
-
-    def _right_cx_cz(self, q: int, cx_targets: int, cz_partners: int) -> None:
-        """U_C <- U_C prod_i CX(q -> i) prod_j CZ(q, j), over the set bits i
-        of `cx_targets` and j of `cz_partners` (disjoint, without q). These
-        gates commute, so their column operations are done together."""
-        col = self._col
-        f_q = (self.F >> q) & col
-        g_sum = m_sum = f_sum = 0
-        for i in _bits(cx_targets):
-            g_sum ^= self.G >> i
-            m_sum ^= self.M >> i
-        for j in _bits(cz_partners):
-            f_sum ^= self.F >> j
-        f_sum &= col
-        # CX(q -> i): G[:, q] ^= G[:, i], F[:, i] ^= F[:, q], M[:, q] ^= M[:, i]
-        self.G ^= (g_sum & col) << q
-        self.F ^= f_q * cx_targets
-        # CZ(q, j): M[:, q] ^= F[:, j], M[:, j] ^= F[:, q], gamma += 2 F[:, q] F[:, j]
-        self.M ^= (((m_sum & col) ^ f_sum) << q) ^ (f_q * cz_partners)
-        self.g1 ^= f_q & f_sum
-
-    def _right_cx_into(self, controls: int, q: int) -> None:
-        """U_C <- U_C prod_i CX(i -> q) over the set bits i of `controls`."""
-        col = self._col
-        f_sum = 0
-        for i in _bits(controls):
-            f_sum ^= self.F >> i
-        # CX(i -> q): G[:, i] ^= G[:, q], F[:, q] ^= F[:, i], M[:, i] ^= M[:, q]
-        self.G ^= ((self.G >> q) & col) * controls
-        self.F ^= (f_sum & col) << q
-        self.M ^= ((self.M >> q) & col) * controls
-
-    def apply_h(self, p: int) -> None:
-        """Left H_p, by Prop. 4 of Bravyi et al.
-
-        H_p = (X_p + Z_p) / sqrt(2), and pushing U_C^-1 X_p U_C and
-        U_C^-1 Z_p U_C through U_H onto |s> gives
-        H_p |phi> = omega (-1)^alpha U_C U_H (|t> + i^delta |u>) / sqrt(2).
-        """
-        n, row = self.n, self._row
-        shift = p * n
-        g, f, m = (self.G >> shift) & row, (self.F >> shift) & row, (self.M >> shift) & row
-        v, s = self.v, self.s
-        nv = v ^ row
-        t = s ^ (g & v)
-        u = s ^ (f & nv) ^ (m & v)
-        alpha = _parity(g & nv & s)
-        beta = _parity((m & nv & s) ^ (f & v & (m ^ s)))
-        delta = (self._gamma(p) + 2 * (alpha + beta)) & 3
-        omega = self.omega + 4 * alpha
-        if t == u:
-            # The two Paulis anticommute, so delta is odd and
-            # (1 + i^delta) / sqrt(2) is exp(+-i pi / 4).
-            self.s = t
-            self.omega = (omega + (1 if delta == 1 else -1)) & 7
-            return
-        # Right CX and CZ on qubit q leave |t> and |u> differing in bit q only.
-        differ = t ^ u
-        set0, set1 = differ & nv, differ & v
-        if set0:
-            q = _lowest(set0)
-            self._right_cx_cz(q, set0 ^ (1 << q), set1)
-        else:
-            q = _lowest(set1)
-            self._right_cx_into(set1 ^ (1 << q), q)
-        bit = 1 << q
-        if t & bit:
-            # |u + e_q> + i^delta |u> = i^delta (|u> + i^-delta |u + e_q>)
-            y = u
-            omega += 2 * delta
-            delta = -delta & 3
-        else:
-            y = t
-        a, b, c, k = _h_decompose(v & bit, delta)
-        omega += k
-        if a:
-            self._right_s(q)
-        self.v = v | bit if b else v & ~bit
-        self.s = y | bit if c else y
-        self.omega = omega & 7
+    def apply_round(self, words: Sequence[WordForm], cnots: Iterable[Sequence[int]]) -> None:
+        """Left-multiply by one sub-round: the Clifford `words[q]` on each
+        qubit q, then a CX for each (control, target) of `cnots`, in order.
+        The form stays in local variables until the round is done."""
+        n, row, col = self.n, self._row, self._col
+        F, G, M, g0, g1 = self.F, self.G, self.M, self.g0, self.g1
+        v, s, omega = self.v, self.s, self.omega
+        for q, (x, a, b, c, k) in enumerate(words):
+            shift = q * n
+            bit = 1 << shift
+            if x:
+                # X_q -> i^gamma_q X(F_q) Z(M_q) under U_C^-1 ... U_C; U_H
+                # swaps X and Z on v, and the Z part is read off the old s.
+                f, m = (F >> shift) & row, (M >> shift) & row
+                omega += 2 * ((g0 >> shift) & 1) + 4 * (
+                    ((g1 >> shift) ^ ((m & ~v & s) ^ (f & v & (s ^ m))).bit_count()) & 1)
+                s ^= (f & ~v) ^ (m & v)
+            if a & 1:
+                # S_q: X_q -> i^-1 X_q Z_q, so M_q ^= G_q and gamma_q -= 1
+                M ^= G & (row << shift)
+                g1 ^= bit & ~g0
+                g0 ^= bit
+            if a & 2:
+                g1 ^= bit  # S_q^2 = Z_q: gamma_q -= 2
+            if b:
+                F, G, M, g0, g1, v, s, omega = _h_update(
+                    n, row, col, F, G, M, g0, g1, v, s, omega, q)
+            if c & 1:
+                M ^= G & (row << shift)
+                g1 ^= bit & ~g0
+                g0 ^= bit
+            if c & 2:
+                g1 ^= bit
+            omega += k
+        for control, target in cnots:
+            # X_c -> X_c X_t, Z_t -> Z_c Z_t: gamma_c += gamma_t + 2 M_c.F_t,
+            # the low bits adding with a carry into the high one
+            ctl, tgt = control * n, target * n
+            f_t = (F >> tgt) & row
+            low = (g0 >> tgt) & 1
+            g1 ^= (((g1 >> tgt) ^ (low & (g0 >> ctl)) ^ ((M >> ctl) & f_t).bit_count())
+                   & 1) << ctl
+            g0 ^= low << ctl
+            G ^= ((G >> ctl) & row) << tgt
+            F ^= f_t << ctl
+            M ^= ((M >> tgt) & row) << ctl
+        self.F, self.G, self.M, self.g0, self.g1 = F, G, M, g0, g1
+        self.v, self.s, self.omega = v, s, omega & 7
 
     def write(self, out: np.ndarray) -> None:
         """Write the 2^n amplitudes into `out`, qubit 0 the least
@@ -227,10 +260,10 @@ class CHForm:
         for p in range(n):
             half = 1 << p
             np.bitwise_xor(a[:half], rows_f[p] & nv, out=a[half:2 * half])
-            step[0] = (self._gamma(p) + 2 * _parity(rows_f[p] & (rows_m[p] ^ sv))) & 3
+            step[0] = (self._gamma(p) + 2 * (rows_f[p] & (rows_m[p] ^ sv)).bit_count()) & 3
             for j in range(p):
                 low = 1 << j
-                np.bitwise_xor(step[:low], 2 * _parity(rows_f[j] & rows_m[p]),
+                np.bitwise_xor(step[:low], 2 * ((rows_f[j] & rows_m[p]).bit_count() & 1),
                                out=step[low:2 * low])
             np.add(theta[:half], step[:half], out=theta[half:2 * half])
         theta &= 3

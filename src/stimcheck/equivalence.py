@@ -8,8 +8,8 @@ prepared as blocks of B rows of a (B, 2^n) array, with B = 1, 2, 4, 8, ...
 capped by the remaining budget, so that an early detection wastes at most
 the rest of its block. A block holds at most BLOCK_AMPS amplitudes, so from
 n = 16 on every block has one row. Each global row is prepared as a
-stabilizer CH-form (`clifford`), gate by gate in time polynomial in n, and
-its 2^n amplitudes are written once. The specification runs in place on
+stabilizer CH-form (`clifford`), one sub-round at a time in time
+polynomial in n, and its 2^n amplitudes are written once. The specification runs in place on
 the prepared block and the realization on one copy, so two blocks are
 live; both are freed before the next block is prepared. A row is a state,
 a (2^n,) array as in `simulator`, so `fidelity` compares rows as they are.

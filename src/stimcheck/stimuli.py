@@ -5,8 +5,10 @@ scheme prepares per-qubit states from the six single-qubit stabilizer states
 {|0>,|1>,|+>,|->,|up>,|down>}; the global scheme layers random Clifford
 gates (H, S, CNOT) so that the stimulus ensemble approaches a state
 2-design as the layer count grows. Gate matrices come from `circuit.py`
-only: the six states are simulated from their preparation words, and the
-24 single-qubit Cliffords are enumerated from `base_matrix` of H and S.
+only: the six states are simulated from their preparation words, the 24
+single-qubit Cliffords are enumerated from `base_matrix` of H and S, and
+each one's form exp(i pi k / 4) S^c H^b S^a X^x is matched against the
+products of `base_matrix` of X, H and S.
 
 `draw` records only the random choices behind a block of stimuli, one row
 per stimulus, in a `Draws`: classical bits, local state indices, or, for
@@ -16,25 +18,27 @@ the same sizes, as drawing each stimulus on its own, so a stimulus does not
 depend on the block it is drawn in. `Draws.prepare` builds the prepared
 states directly as a (B, 2^n) block: one amplitude per row for classical,
 and an outer product of single-qubit states for local. A global row is a
-stabilizer state, which `clifford.CHForm` tracks gate by gate in polynomial
-time before writing the row's amplitudes once. `Draws.prep` rebuilds one
-row's preparation circuit, which the verifier does only for a witness. It
-assembles the circuit from a per-n table of shared gates, built on the first
-witness at that qubit count, so a witness costs about as much as copying
-references to its gates. `next_stimulus` is a draw of one row turned into a
-`Stimulus`.
+stabilizer state, which `clifford.CHForm` builds in polynomial time, one
+sub-round per update (each qubit's Clifford as its form, with at most one
+H, then the CNOTs), before writing the row's amplitudes once. `Draws.prep`
+rebuilds one row's preparation circuit, which the verifier does only for a
+witness. It assembles the circuit from a per-n table of shared gates, built
+on the first witness at that qubit count, so a witness costs about as much
+as copying references to its gates. `next_stimulus` is a draw of one row
+turned into a `Stimulus`.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, product
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, base_matrix
-from .clifford import CHForm
+from .clifford import CHForm, WordForm
 from .simulator import simulate, zero_state
 
 SCHEME_KINDS = ("classical", "local", "global")
@@ -106,22 +110,24 @@ _LOCAL_STATES = np.array([simulate(Circuit(1, tuple(Gate(kind, 0) for kind in wo
                           for word in LOCAL_PREP_WORDS])
 
 
+def _canon(m: np.ndarray) -> tuple:
+    """The entries of `m` with its global phase divided out."""
+    flat = m.flatten()
+    pivot = next(v for v in flat if abs(v) > 1e-9)
+    return tuple(np.round(flat / (pivot / abs(pivot)), 8))
+
+
 def _single_qubit_cliffords() -> tuple[tuple[GateKind, ...], ...]:
     """All 24 single-qubit Clifford operations (mod global phase) as shortest
     words over {H, S}, in application order. Deterministic BFS enumeration."""
-    def canon(m: np.ndarray) -> tuple:
-        flat = m.flatten()
-        pivot = next(v for v in flat if abs(v) > 1e-9)
-        return tuple(np.round(flat / (pivot / abs(pivot)), 8))
-
-    words: dict[tuple, tuple[GateKind, ...]] = {canon(np.eye(2, dtype=complex)): ()}
+    words: dict[tuple, tuple[GateKind, ...]] = {_canon(np.eye(2, dtype=complex)): ()}
     frontier: list[tuple[tuple[GateKind, ...], np.ndarray]] = [((), np.eye(2, dtype=complex))]
     while frontier:
         next_frontier = []
         for word, mat in frontier:
             for kind in (GateKind.H, GateKind.S):
                 new_mat = base_matrix(kind) @ mat
-                key = canon(new_mat)
+                key = _canon(new_mat)
                 if key not in words:
                     new_word = word + (kind,)
                     words[key] = new_word
@@ -133,6 +139,35 @@ def _single_qubit_cliffords() -> tuple[tuple[GateKind, ...], ...]:
 
 
 CLIFFORD_1Q_WORDS = _single_qubit_cliffords()
+
+
+def _word_forms() -> tuple[WordForm, ...]:
+    """Each CLIFFORD_1Q_WORDS word as exp(i pi k / 4) S^c H^b S^a X^x, with
+    no H where the word is diagonal or anti-diagonal: the first of the 64
+    products S^c H^b S^a X^x, taken with b, then x, a and c lowest first,
+    equal to the word up to a phase, and that phase as k."""
+    x_, h_, s_ = (base_matrix(kind) for kind in (GateKind.X, GateKind.H, GateKind.S))
+    eye = np.eye(2, dtype=complex)
+    s_powers = (eye, s_, s_ @ s_, s_ @ s_ @ s_)
+    candidates: dict[tuple, tuple[np.ndarray, tuple[int, int, int, int]]] = {}
+    for b, x, a, c in product((0, 1), (0, 1), range(4), range(4)):
+        candidate = s_powers[c] @ (h_ if b else eye) @ s_powers[a] @ (x_ if x else eye)
+        candidates.setdefault(_canon(candidate), (candidate, (x, a, b, c)))
+    forms = []
+    for word in CLIFFORD_1Q_WORDS:
+        matrix = np.eye(2, dtype=complex)
+        for kind in word:
+            matrix = base_matrix(kind) @ matrix
+        candidate, (x, a, b, c) = candidates[_canon(matrix)]
+        pivot = next(i for i, z in enumerate(candidate.flat) if abs(z) > 1e-9)
+        ratio = matrix.flat[pivot] / candidate.flat[pivot]
+        k = round(math.atan2(ratio.imag, ratio.real) / (math.pi / 4)) % 8
+        forms.append(WordForm(x, a, b, c, k))
+    return tuple(forms)
+
+
+# CLIFFORD_1Q_WORDS[w] as the canonical form that CHForm.apply_round takes
+_WORD_FORMS = _word_forms()
 
 
 class _GateTable(NamedTuple):
@@ -275,18 +310,12 @@ def _product(states: np.ndarray) -> np.ndarray:
 
 
 def _global_row(n: int, choices: np.ndarray, pairs: np.ndarray, out: np.ndarray) -> None:
-    """Write one global stimulus into `out`: its gates, in `prep`'s order,
-    applied to a CH-form, whose amplitudes are written once."""
+    """Write one global stimulus into `out`: its sub-rounds, in `prep`'s
+    order, applied to a CH-form, whose amplitudes are written once."""
     state = CHForm(n)
+    forms = _WORD_FORMS
     for words, matching in zip(choices.tolist(), pairs.tolist()):
-        for q, word in enumerate(words):
-            for kind in CLIFFORD_1Q_WORDS[word]:
-                if kind is GateKind.H:
-                    state.apply_h(q)
-                else:
-                    state.apply_s(q)
-        for control, target in matching:
-            state.apply_cx(control, target)
+        state.apply_round([forms[w] for w in words], matching)
     state.write(out)
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from stimcheck import bench
+from stimcheck import bench, cli
 from stimcheck.circuit import Circuit, Gate, GateKind
 from stimcheck.cli import EXIT_DETECTED, EXIT_ERROR, EXIT_OK, main
 from stimcheck.equivalence import EXACT_LIMIT
@@ -47,6 +47,30 @@ class TestVerify:
                      "--witness-out", str(witness)])
         assert code == EXIT_DETECTED
         assert parse_qasm(witness.read_text()).num_qubits == 3
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_witness_out_fails_before_the_verify(self, ghz_file, broken_ghz_file,
+                                                            tmp_path, capsys, monkeypatch,
+                                                            where):
+        def no_verify(*args):
+            raise AssertionError("verify called before the witness path was checked")
+
+        monkeypatch.setattr(cli, "verify", no_verify)
+        witness = tmp_path / "missing" / "w.qasm" if where == "missing directory" else tmp_path
+        before = sorted(tmp_path.iterdir())
+        code = main(["verify", ghz_file, broken_ghz_file, "--witness-out", str(witness)])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write the witness to {witness}")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_no_witness_file_when_nothing_is_detected(self, ghz_file, tmp_path):
+        witness = tmp_path / "w.qasm"
+        code = main(["verify", ghz_file, ghz_file, "--max-stimuli", "2",
+                     "--witness-out", str(witness)])
+        assert code == EXIT_OK
+        assert not witness.exists()
 
     def test_missing_file_exits_two(self, ghz_file, capsys):
         code = main(["verify", ghz_file, "/nonexistent/impl.qasm"])

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from stimcheck import clifford
-from stimcheck.circuit import Circuit, Gate, GateKind
-from stimcheck.clifford import CHForm
+from stimcheck.circuit import Circuit, Gate, GateKind, base_matrix
+from stimcheck.clifford import CHForm, WordForm
 from stimcheck.oracle import build_unitary
 from stimcheck.qasm import emit_qasm
 from stimcheck.simulator import simulate, zero_state
@@ -20,6 +20,7 @@ from stimcheck.stimuli import (
     CLIFFORD_1Q_WORDS,
     LOCAL,
     LOCAL_PREP_WORDS,
+    _WORD_FORMS,
     Draws,
     RandomSource,
     Scheme,
@@ -134,6 +135,23 @@ class TestClifford1qWords:
                   "HSHS", "HSSH", "HSSS", "SHSS", "SSHS", "HSHSS", "HSSHS", "SHSSH",
                   "SHSSS", "SSHSS", "HSHSSH", "HSHSSS", "HSSHSS"]
         assert CLIFFORD_1Q_WORDS == tuple(tuple(GateKind[c] for c in word) for word in golden)
+
+    def test_word_forms_multiply_out_to_their_words(self):
+        # exp(i pi k / 4) S^c H^b S^a X^x, X applied first, phase included
+        x, h, s = (base_matrix(kind) for kind in (GateKind.X, GateKind.H, GateKind.S))
+        for word, form in zip(CLIFFORD_1Q_WORDS, _WORD_FORMS, strict=True):
+            assert form.x in (0, 1) and form.b in (0, 1), form
+            assert 0 <= form.a < 4 and 0 <= form.c < 4 and 0 <= form.k < 8, form
+            expected = np.eye(2, dtype=complex)
+            for kind in word:
+                expected = base_matrix(kind) @ expected
+            product = (np.exp(1j * np.pi * form.k / 4)
+                       * np.linalg.matrix_power(s, form.c) @ np.linalg.matrix_power(h, form.b)
+                       @ np.linalg.matrix_power(s, form.a) @ np.linalg.matrix_power(x, form.x))
+            np.testing.assert_allclose(product, expected, rtol=0, atol=1e-12,
+                                       err_msg=f"{word} {form}")
+        # 8 of the 24 are diagonal or anti-diagonal and need no H
+        assert sum(form.b for form in _WORD_FORMS) == 16
 
 
 class TestClassical:
@@ -383,29 +401,42 @@ def test_every_row_of_a_global_block_equals_its_simulated_prep(n, layers):
     assert_global_rows_equal_simulated_preps(n, layers, rows=4)
 
 
-def random_clifford_circuit(n: int, length: int, gen: np.random.Generator) -> Circuit:
-    """H, S and CX gates in any order, each kind equally likely (no CX at n = 1)."""
-    gates = []
+IDENTITY_FORM = WordForm(0, 0, 0, 0, 0)
+GATE_FORMS = {GateKind.X: WordForm(1, 0, 0, 0, 0), GateKind.H: WordForm(0, 0, 1, 0, 0),
+              GateKind.S: WordForm(0, 1, 0, 0, 0)}
+
+
+def random_clifford_circuit(n: int, length: int, gen: np.random.Generator):
+    """X, H, S and CX gates and whole CLIFFORD_1Q_WORDS words in any order,
+    each of the five equally likely (no CX at n = 1): the circuit, and the
+    same steps as `CHForm.apply_round` arguments, one round per gate or word."""
+    gates, rounds = [], []
     for _ in range(length):
-        kind = int(gen.integers(3 if n > 1 else 2))
-        if kind == 2:
+        kind = int(gen.integers(5 if n > 1 else 4))
+        words = [IDENTITY_FORM] * n
+        if kind == 4:
             control, target = (int(q) for q in gen.choice(n, size=2, replace=False))
             gates.append(Gate(GateKind.X, target, controls=(control,)))
+            rounds.append((words, [(control, target)]))
+            continue
+        q = int(gen.integers(n))
+        if kind == 3:
+            word = int(gen.integers(len(CLIFFORD_1Q_WORDS)))
+            gates.extend(Gate(g, q) for g in CLIFFORD_1Q_WORDS[word])
+            words[q] = _WORD_FORMS[word]
         else:
-            gates.append(Gate((GateKind.H, GateKind.S)[kind], int(gen.integers(n))))
-    return Circuit(n, tuple(gates))
+            gate_kind = (GateKind.X, GateKind.H, GateKind.S)[kind]
+            gates.append(Gate(gate_kind, q))
+            words[q] = GATE_FORMS[gate_kind]
+        rounds.append((words, []))
+    return Circuit(n, tuple(gates)), rounds
 
 
-def ch_form_state(circuit: Circuit) -> np.ndarray:
-    state = CHForm(circuit.num_qubits)
-    for gate in circuit.gates:
-        if gate.controls:
-            state.apply_cx(gate.controls[0], gate.target)
-        elif gate.kind is GateKind.H:
-            state.apply_h(gate.target)
-        else:
-            state.apply_s(gate.target)
-    out = np.empty(1 << circuit.num_qubits, dtype=complex)
+def ch_form_state(n: int, rounds) -> np.ndarray:
+    state = CHForm(n)
+    for words, cnots in rounds:
+        state.apply_round(words, cnots)
+    out = np.empty(1 << n, dtype=complex)
     state.write(out)
     return out
 
@@ -418,53 +449,41 @@ def random_clifford_circuits():
 
 
 def test_ch_form_matches_the_oracle_on_random_clifford_circuits():
-    for circuit in random_clifford_circuits():
-        np.testing.assert_allclose(ch_form_state(circuit), build_unitary(circuit)[:, 0],
+    for circuit, rounds in random_clifford_circuits():
+        np.testing.assert_allclose(ch_form_state(circuit.num_qubits, rounds),
+                                   build_unitary(circuit)[:, 0],
                                    rtol=0, atol=1e-12, err_msg=emit_qasm(circuit))
 
 
-def test_every_branch_of_the_h_update_is_hit(monkeypatch):
-    hits = set()
-    decompose, right_cx_cz, right_cx_into = (
-        clifford._h_decompose, CHForm._right_cx_cz, CHForm._right_cx_into)
-    apply_h = CHForm.apply_h
+def test_every_branch_of_the_h_update_is_hit():
+    # Every line of the H update and of the decomposition it ends with runs,
+    # so each branch's body runs: t == u, the CX and CZ column operations
+    # when t and u differ off v, the CX ones when they differ on v only,
+    # each case of _h_decompose and the right S it may ask for.
+    codes = {clifford._h_update.__code__, clifford._h_decompose.__code__}
+    ran = set()
 
-    def recording_decompose(h, delta):
-        hits.add(("decompose", bool(h), bool(h) and delta & 1))
-        return decompose(h, delta)
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_name, frame.f_lineno))
+        return trace_lines
 
-    def recording_apply_h(self, p):
-        before = len(calls)
-        apply_h(self, p)
-        if len(calls) == before:
-            hits.add("t == u")
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code in codes else None
 
-    calls = []
-
-    def recording_cx_cz(self, q, cx_targets, cz_partners):
-        calls.append(q)
-        if cx_targets:
-            hits.add("set0 cx")
-        if cz_partners:
-            hits.add("set0 cz")
-        right_cx_cz(self, q, cx_targets, cz_partners)
-
-    def recording_cx_into(self, controls, q):
-        calls.append(q)
-        if controls:
-            hits.add("set1 only cx")
-        right_cx_into(self, controls, q)
-
-    monkeypatch.setattr(clifford, "_h_decompose", recording_decompose)
-    monkeypatch.setattr(CHForm, "apply_h", recording_apply_h)
-    monkeypatch.setattr(CHForm, "_right_cx_cz", recording_cx_cz)
-    monkeypatch.setattr(CHForm, "_right_cx_into", recording_cx_into)
-    for circuit in random_clifford_circuits():
-        np.testing.assert_allclose(ch_form_state(circuit), build_unitary(circuit)[:, 0],
-                                   rtol=0, atol=1e-12, err_msg=emit_qasm(circuit))
-    assert hits == {"t == u", "set0 cx", "set0 cz", "set1 only cx",
-                    ("decompose", False, False), ("decompose", True, 0),
-                    ("decompose", True, 1)}
+    # the oracle test checks the same circuits' states
+    circuits = list(random_clifford_circuits())
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        for circuit, rounds in circuits:
+            ch_form_state(circuit.num_qubits, rounds)
+    finally:
+        sys.settrace(previous)
+    lines = {(code.co_name, line) for code in codes for _, _, line in code.co_lines()
+             if line is not None and line != code.co_firstlineno}
+    assert {name for name, _ in lines} == {"_h_update", "_h_decompose"}
+    assert lines - ran == set()
 
 
 def test_one_row_global_prepare_peaks_below_two_states_at_20_qubits():
