@@ -76,16 +76,23 @@ def _cmd_verify(args) -> int:
     return EXIT_DETECTED if detected else EXIT_OK
 
 
+_CONFIG_KEYS = ("circuit_paths", "schemes", "error_options", "layers", "error_seeds",
+               "stimuli_seeds", "max_stimuli", "epsilon", "output_path", "master_seed")
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not equals:
+            raise ValueError(f"{path}:{number}: expected 'key = value', found {raw!r}")
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{number}: unknown key {key!r}; "
+                             f"expected one of {', '.join(_CONFIG_KEYS)}")
+        values[key] = value
     return values
 
 

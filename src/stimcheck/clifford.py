@@ -32,16 +32,18 @@ A global stimulus is built in sub-rounds: one of the 24 single-qubit
 Cliffords on every qubit, then CNOTs. Each Clifford is written once as
 exp(i pi k / 4) S^c H^b S^a X^x (`WordForm`, X applied first, b at most 1):
 8 of the 24 need no H and 16 need one, where their shortest H, S words
-need 1.25 on average. `CHForm.apply_round` applies a whole sub-round, its
-words and then its CNOTs, holding the form in local variables and writing
-it back once; an H goes through `_h_update`, a function of the form's ints,
-which is the only place the H update is written.
+need 1.25 on average. `write_state` is the whole preparation: it starts
+the form at |0...0>, applies every sub-round, its words and then its
+CNOTs, holding the form in local variables throughout, and writes the
+2^n amplitudes. An H goes through `_h_update`, a function of the form's
+ints, which is the only place the H update is written.
 
 Each bit matrix is a single Python int with row p in bits p*n .. p*n + n - 1,
 so a row or a column operation is a few big-int operations; gamma is two
-bit planes in the same layout, its bits at p*n. omega stays exact, as the
-index of an eighth root of unity, until `write` turns it and the power of
-sqrt(2) that U_H contributes into one complex.
+bit planes in the same layout, its bits at p*n. omega stays exact, an int
+whose residue mod 8 indexes an eighth root of unity, until the amplitudes
+are written, when it and the power of sqrt(2) that U_H contributes become
+one complex.
 """
 from __future__ import annotations
 
@@ -160,35 +162,37 @@ def _h_update(n: int, row: int, col: int, F: int, G: int, M: int, g0: int, g1: i
     return (F, G, M, g0, g1, v | bit if b else v & ~bit, y | bit if c else y, omega + k)
 
 
-class CHForm:
-    """A stabilizer state in CH-form, starting as |0...0>. `apply_round`
-    multiplies it from the left by one sub-round of a global stimulus;
-    `write` puts its amplitudes into an array."""
+def write_state(n: int, forms: Sequence[WordForm],
+                rounds: Iterable[tuple[Sequence[int], Iterable[Sequence[int]]]],
+                out: np.ndarray) -> None:
+    """Write into `out` the 2^n amplitudes, qubit 0 the least significant
+    bit of the index, of |0...0> after `rounds`. Each round is
+    (words, cnots): the Clifford `forms[words[q]]` on each qubit q, then a
+    CX for each (control, target) of `cnots`, in order.
 
-    __slots__ = ("n", "F", "G", "M", "g0", "g1", "v", "s", "omega", "_row", "_col")
-
-    def __init__(self, num_qubits: int):
-        n = self.n = num_qubits
-        self._row = (1 << n) - 1  # row 0 of a matrix
-        self._col = sum(1 << (p * n) for p in range(n))  # column 0 of a matrix
-        self.F = self.G = sum(1 << (p * n + p) for p in range(n))  # identity
-        self.M = 0
-        self.g0 = self.g1 = 0  # gamma_p = g0 bit p*n + 2 * g1 bit p*n
-        self.v = self.s = 0
-        self.omega = 0  # the global phase is exp(i pi omega / 4)
-
-    def _gamma(self, p: int) -> int:
-        shift = p * self.n
-        return ((self.g0 >> shift) & 1) | ((self.g1 >> shift) & 1) << 1
-
-    def apply_round(self, words: Sequence[WordForm], cnots: Iterable[Sequence[int]]) -> None:
-        """Left-multiply by one sub-round: the Clifford `words[q]` on each
-        qubit q, then a CX for each (control, target) of `cnots`, in order.
-        The form stays in local variables until the round is done."""
-        n, row, col = self.n, self._row, self._col
-        F, G, M, g0, g1 = self.F, self.G, self.M, self.g0, self.g1
-        v, s, omega = self.v, self.s, self.omega
-        for q, (x, a, b, c, k) in enumerate(words):
+    The last round's form is written out as
+    <x|phi> = omega <0| U_C^-1 X(x) U_C U_H |s>, because U_C fixes <0|,
+    and U_C^-1 X(x) U_C = i^mu X(a) Z(b) with a = xF and b = xM. So the
+    amplitude is omega 2^(-|v|/2) i^theta(x) where a agrees with s off
+    v, and 0 elsewhere, with theta = mu + 2 a.b + 2 a.(s & v). Setting
+    bit p of an x below 2^p adds F_p to a and c_p + 2 x.w_p to theta,
+    with c_p = gamma_p + 2 F_p.(M_p ^ (s & v)) and w_p[j] = F_j.M_p.
+    Both are built by doubling over p, a (its bits off v only) in uint32
+    and theta mod 4 in uint8: 6 bytes per amplitude of arrays of its
+    own, freed when it returns, before the verifier copies the block for
+    spec and impl. A table lookup then writes `out`, by chunks and with
+    clipped indices, so that `np.take` copies only a chunk of theta at a
+    time and never buffers `out`.
+    """
+    row = (1 << n) - 1  # row 0 of a matrix
+    col = sum(1 << (p * n) for p in range(n))  # column 0 of a matrix
+    # |0...0>: U_C = U_H = 1, so F = G = identity, M = gamma = 0 and s = 0;
+    # gamma_p = g0 bit p*n + 2 * g1 bit p*n, the phase is exp(i pi omega / 4)
+    F = G = sum(1 << (p * n + p) for p in range(n))
+    M = g0 = g1 = v = s = omega = 0
+    for words, cnots in rounds:
+        for q, w in enumerate(words):
+            x, a, b, c, k = forms[w]
             shift = q * n
             bit = 1 << shift
             if x:
@@ -227,54 +231,35 @@ class CHForm:
             G ^= ((G >> ctl) & row) << tgt
             F ^= f_t << ctl
             M ^= ((M >> tgt) & row) << ctl
-        self.F, self.G, self.M, self.g0, self.g1 = F, G, M, g0, g1
-        self.v, self.s, self.omega = v, s, omega & 7
 
-    def write(self, out: np.ndarray) -> None:
-        """Write the 2^n amplitudes into `out`, qubit 0 the least
-        significant bit of the index.
-
-        <x|phi> = omega <0| U_C^-1 X(x) U_C U_H |s>, because U_C fixes <0|,
-        and U_C^-1 X(x) U_C = i^mu X(a) Z(b) with a = xF and b = xM. So the
-        amplitude is omega 2^(-|v|/2) i^theta(x) where a agrees with s off
-        v, and 0 elsewhere, with theta = mu + 2 a.b + 2 a.(s & v). Setting
-        bit p of an x below 2^p adds F_p to a and c_p + 2 x.w_p to theta,
-        with c_p = gamma_p + 2 F_p.(M_p ^ (s & v)) and w_p[j] = F_j.M_p.
-        Both are built by doubling over p, a (its bits off v only) in uint32
-        and theta mod 4 in uint8: 6 bytes per amplitude of arrays of its
-        own, freed when it returns, before the verifier copies the block for
-        spec and impl. A table lookup then writes `out`, by chunks and with
-        clipped indices, so that `np.take` copies only a chunk of theta at a
-        time and never buffers `out`.
-        """
-        n, row = self.n, self._row
-        size = 1 << n
-        rows_f = [(self.F >> (p * n)) & row for p in range(n)]
-        rows_m = [(self.M >> (p * n)) & row for p in range(n)]
-        nv = self.v ^ row
-        sv = self.s & self.v
-        a = np.empty(size, dtype=np.uint32)
-        theta = np.empty(size, dtype=np.uint8)
-        step = np.empty(size, dtype=np.uint8)  # theta's increment, later the support mask
-        a[0] = theta[0] = 0
-        for p in range(n):
-            half = 1 << p
-            np.bitwise_xor(a[:half], rows_f[p] & nv, out=a[half:2 * half])
-            step[0] = (self._gamma(p) + 2 * (rows_f[p] & (rows_m[p] ^ sv)).bit_count()) & 3
-            for j in range(p):
-                low = 1 << j
-                np.bitwise_xor(step[:low], 2 * ((rows_f[j] & rows_m[p]).bit_count() & 1),
-                               out=step[low:2 * low])
-            np.add(theta[:half], step[:half], out=theta[half:2 * half])
-        theta &= 3
-        mask = step.view(bool)
-        np.not_equal(a, self.s & nv, out=mask)
-        np.putmask(theta, mask, 4)  # off the support
-        scale = _EIGHTH_ROOTS[self.omega] * _R ** self.v.bit_count()
-        table = np.array([scale * z for z in _POWERS_OF_I] + [0], dtype=complex)
-        # `take` copies its uint8 indices to intp, and in its default "raise"
-        # mode it also writes through a copy of `out`; chunks bound the first
-        # copy to 64 KB, and "clip", a no-op on indices 0..4, avoids the second.
-        for start in range(0, size, _TAKE_CHUNK):
-            stop = start + _TAKE_CHUNK
-            np.take(table, theta[start:stop], out=out[start:stop], mode="clip")
+    size = 1 << n
+    rows_f = [(F >> (p * n)) & row for p in range(n)]
+    rows_m = [(M >> (p * n)) & row for p in range(n)]
+    nv = v ^ row
+    sv = s & v
+    xf = np.empty(size, dtype=np.uint32)  # a = xF, its bits off v
+    theta = np.empty(size, dtype=np.uint8)
+    step = np.empty(size, dtype=np.uint8)  # theta's increment, later the support mask
+    xf[0] = theta[0] = 0
+    for p in range(n):
+        half = 1 << p
+        np.bitwise_xor(xf[:half], rows_f[p] & nv, out=xf[half:2 * half])
+        gamma = ((g0 >> (p * n)) & 1) + 2 * ((g1 >> (p * n)) & 1)
+        step[0] = (gamma + 2 * (rows_f[p] & (rows_m[p] ^ sv)).bit_count()) & 3
+        for j in range(p):
+            width = 1 << j
+            np.bitwise_xor(step[:width], 2 * ((rows_f[j] & rows_m[p]).bit_count() & 1),
+                           out=step[width:2 * width])
+        np.add(theta[:half], step[:half], out=theta[half:2 * half])
+    theta &= 3
+    mask = step.view(bool)
+    np.not_equal(xf, s & nv, out=mask)
+    np.putmask(theta, mask, 4)  # off the support
+    scale = _EIGHTH_ROOTS[omega & 7] * _R ** v.bit_count()
+    table = np.array([scale * z for z in _POWERS_OF_I] + [0], dtype=complex)
+    # `take` copies its uint8 indices to intp, and in its default "raise"
+    # mode it also writes through a copy of `out`; chunks bound the first
+    # copy to 64 KB, and "clip", a no-op on indices 0..4, avoids the second.
+    for start in range(0, size, _TAKE_CHUNK):
+        stop = start + _TAKE_CHUNK
+        np.take(table, theta[start:stop], out=out[start:stop], mode="clip")

@@ -7,15 +7,16 @@ compiles the specification and the realization once. Stimuli are drawn and
 prepared as blocks of B rows of a (B, 2^n) array, with B = 1, 2, 4, 8, ...
 capped by the remaining budget, so that an early detection wastes at most
 the rest of its block. A block holds at most BLOCK_AMPS amplitudes, so from
-n = 16 on every block has one row. Each global row is prepared as a
-stabilizer CH-form (`clifford`), one sub-round at a time in time
-polynomial in n, and its 2^n amplitudes are written once. The specification runs in place on
-the prepared block and the realization on one copy, so two blocks are
-live; both are freed before the next block is prepared. A row is a state,
-a (2^n,) array as in `simulator`, so `fidelity` compares rows as they are.
-Only the row that detects an error gets its preparation circuit rebuilt,
-as the witness, from its recorded draws; the circuit is assembled from a
-per-n table of shared gates (`stimuli._gate_table`), not built gate by gate.
+n = 16 on every block has one row. Each global row is prepared by one call
+of `clifford.write_state`, which takes a stabilizer CH-form from |0...0>
+through every sub-round in time polynomial in n and then writes its 2^n
+amplitudes once. The specification runs in place on the prepared block and
+the realization on one copy, so two blocks are live; both are freed before
+the next block is prepared. A row is a state, a (2^n,) array as in
+`simulator`, so `fidelity` compares rows as they are. Only the row that
+detects an error gets its preparation circuit rebuilt, as the witness, from
+its recorded draws; the circuit is assembled from a per-n table of shared
+gates (`stimuli._gate_table`), not built gate by gate.
 
 `trace_fidelity` takes the same block step on classical stimuli, the
 consecutive computational basis states 0, 1, ..., 2^n - 1, and sums

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,9 +37,11 @@ class ParseDiagnostic:
     line: int
     column: int
     message: str
+    path: str | None = None  # the file, for a source read by `load_circuit`
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.message}"
+        where = "" if self.path is None else f"{self.path}:"
+        return f"{where}{self.line}:{self.column}: {self.message}"
 
 
 class QasmError(Exception):
@@ -333,10 +335,25 @@ def parse_qasm(source: str) -> Circuit:
 
 
 def load_circuit(path: str | Path) -> Circuit:
-    """Parse a QASM file into a circuit named after the file's stem."""
+    """Parse a UTF-8 QASM file into a circuit named after the file's stem.
+    Line ends are read as in text mode. A parse error, or a byte that is not
+    UTF-8 (at the line and column of the text before it), raises QasmError
+    with the file's path in its diagnostic."""
     path = Path(path)
-    circuit = parse_qasm(path.read_text())
-    return Circuit(circuit.num_qubits, circuit.gates, name=path.stem)
+    # CR and LF bytes occur in UTF-8 only as those characters
+    data = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        circuit = parse_qasm(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        diagnostic = _diagnostic(
+            before, len(before),
+            f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})").diagnostic
+    except QasmError as exc:
+        diagnostic = exc.diagnostic
+    else:
+        return Circuit(circuit.num_qubits, circuit.gates, name=path.stem)
+    raise QasmError(replace(diagnostic, path=str(path)))
 
 
 def emit_qasm(circuit: Circuit) -> str:

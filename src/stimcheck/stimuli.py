@@ -18,14 +18,15 @@ the same sizes, as drawing each stimulus on its own, so a stimulus does not
 depend on the block it is drawn in. `Draws.prepare` builds the prepared
 states directly as a (B, 2^n) block: one amplitude per row for classical,
 and an outer product of single-qubit states for local. A global row is a
-stabilizer state, which `clifford.CHForm` builds in polynomial time, one
-sub-round per update (each qubit's Clifford as its form, with at most one
-H, then the CNOTs), before writing the row's amplitudes once. `Draws.prep`
-rebuilds one row's preparation circuit, which the verifier does only for a
-witness. It assembles the circuit from a per-n table of shared gates, built
-on the first witness at that qubit count, so a witness costs about as much
-as copying references to its gates. `next_stimulus` is a draw of one row
-turned into a `Stimulus`.
+stabilizer state, which one call of `clifford.write_state` builds in
+polynomial time from |0...0>, one sub-round per update (each qubit's
+Clifford as its form, with at most one H, then the CNOTs), and then writes
+as the row's amplitudes. `Draws.prep` rebuilds one row's preparation
+circuit, which the verifier does only for a witness. It assembles the
+circuit from a per-n table of shared gates, built on the first witness at
+that qubit count, so a witness costs about as much as copying references
+to its gates. `next_stimulus` is a draw of one row turned into a
+`Stimulus`.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, base_matrix
-from .clifford import CHForm, WordForm
+from .clifford import WordForm, write_state
 from .simulator import simulate, zero_state
 
 SCHEME_KINDS = ("classical", "local", "global")
@@ -166,7 +167,7 @@ def _word_forms() -> tuple[WordForm, ...]:
     return tuple(forms)
 
 
-# CLIFFORD_1Q_WORDS[w] as the canonical form that CHForm.apply_round takes
+# CLIFFORD_1Q_WORDS[w] as the canonical form that clifford.write_state takes
 _WORD_FORMS = _word_forms()
 
 
@@ -280,7 +281,8 @@ class Draws:
     def prepare(self) -> np.ndarray:
         """The prepared states as a C-contiguous (rows, 2^n) block, row b
         equal to simulating `prep(b)` on |0...0>, global phase included.
-        Each global row is written from its own CH-form."""
+        Each global row is written from its own CH-form, its sub-rounds in
+        `prep`'s order."""
         n, rows = self.num_qubits, len(self)
         if self.scheme.kind == "classical":
             block = np.zeros((rows, 1 << n), dtype=complex)
@@ -289,8 +291,8 @@ class Draws:
         if self.scheme.kind == "local":
             return _product(_LOCAL_STATES[self.choices])
         block = np.empty((rows, 1 << n), dtype=complex)
-        for choices, pairs, out in zip(self.choices, self.pairs, block):
-            _global_row(n, choices, pairs, out)
+        for words, pairs, out in zip(self.choices.tolist(), self.pairs.tolist(), block):
+            write_state(n, _WORD_FORMS, zip(words, pairs), out)
         return block
 
 
@@ -307,16 +309,6 @@ def _product(states: np.ndarray) -> np.ndarray:
         np.multiply(states[:, q, 1, None], low, out=high)
         low *= states[:, q, 0, None]
     return block
-
-
-def _global_row(n: int, choices: np.ndarray, pairs: np.ndarray, out: np.ndarray) -> None:
-    """Write one global stimulus into `out`: its sub-rounds, in `prep`'s
-    order, applied to a CH-form, whose amplitudes are written once."""
-    state = CHForm(n)
-    forms = _WORD_FORMS
-    for words, matching in zip(choices.tolist(), pairs.tolist()):
-        state.apply_round([forms[w] for w in words], matching)
-    state.write(out)
 
 
 def draw(scheme: Scheme, num_qubits: int, sources: Sequence[RandomSource]) -> Draws:

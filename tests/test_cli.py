@@ -91,8 +91,29 @@ class TestVerify:
         code = main(["verify", ghz_file, str(bad)])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("parse error: 3:4: ")
+        assert err.startswith(f"parse error: {bad}:3:4: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad_side", ["spec", "impl"])
+    def test_parse_error_names_its_file(self, ghz_file, tmp_path, capsys, bad_side):
+        bad = tmp_path / "bad.qasm"
+        bad.write_text("OPENQASM 2.0;\nqreg q[1];\nfoo q[0];\n")
+        files = [str(bad), ghz_file] if bad_side == "spec" else [ghz_file, str(bad)]
+        assert main(["verify", *files]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"parse error: {bad}:3:1: unknown gate 'foo'\n"
+
+    @pytest.mark.parametrize("content,where", [
+        (b"\xff\xfe", "1:1"),
+        # line ends as in text mode; the column counts the characters before
+        (b"OPENQASM 2.0;\r\nqreg q[1];\r// \xc3\xbc \xff\xfe\n", "3:6"),
+    ], ids=["first-byte", "after-crlf-cr-and-a-two-byte-character"])
+    def test_undecodable_byte_is_a_parse_error_at_its_line_and_column(
+            self, ghz_file, tmp_path, capsys, content, where):
+        bad = tmp_path / "bad.qasm"
+        bad.write_bytes(content)
+        assert main(["verify", ghz_file, str(bad)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"parse error: {bad}:{where}: byte 0xff is not UTF-8 (invalid start byte)\n")
 
     def test_scheme_flags(self, ghz_file, capsys):
         code = main(["verify", ghz_file, ghz_file, "--scheme", "classical",
@@ -196,6 +217,45 @@ class TestBench:
             records = list(csv.reader(fh))
         assert len(records) == 2  # header + 1 option x 1 scheme
         assert records[1][3] == "insert_1"
+
+    def test_config_file_takes_every_listed_key(self, ghz_file, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        config = tmp_path / "bench.cfg"
+        config.write_text(
+            f"circuit_paths = {ghz_file}\n"
+            "schemes = classical,global\n"
+            "error_options = insert_1\n"
+            "layers = 1\n"
+            "error_seeds = 2\n"
+            "stimuli_seeds = 1\n"
+            "max_stimuli = 2\n"
+            "epsilon = 0.01\n"
+            f"output_path = {out}\n"
+            "master_seed = 5\n"
+        )
+        assert main(["bench", "--config", str(config)]) == EXIT_OK
+        with open(out, newline="") as fh:
+            records = list(csv.reader(fh))
+        assert [record[2] for record in records[1:]] == ["classical", "global"]
+        total = bench.CSV_HEADER.index("total")
+        assert {record[total] for record in records[1:]} == {"2"}  # the error_seeds
+
+    @pytest.mark.parametrize("line,message", [
+        ("eror_seeds = 1", "unknown key 'eror_seeds'; expected one of circuit_paths, "),
+        ("error_seeds 1", "expected 'key = value', found 'error_seeds 1'"),
+    ], ids=["misspelled-key", "no-equals-sign"])
+    def test_config_file_error_names_the_file_and_line(self, ghz_file, tmp_path, capsys,
+                                                        monkeypatch, line, message):
+        def no_verify(*args):
+            raise AssertionError("verify ran")
+
+        monkeypatch.setattr(bench, "verify", no_verify)
+        config = tmp_path / "bench.cfg"
+        config.write_text(f"# settings\nmax_stimuli = 2\n{line}\n")
+        assert main(["bench", ghz_file, "--config", str(config)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {config}:3: {message}")
 
 
 class TestMutate:

@@ -11,7 +11,7 @@ import pytest
 
 from stimcheck import clifford
 from stimcheck.circuit import Circuit, Gate, GateKind, base_matrix
-from stimcheck.clifford import CHForm, WordForm
+from stimcheck.clifford import WordForm, write_state
 from stimcheck.oracle import build_unitary
 from stimcheck.qasm import emit_qasm
 from stimcheck.simulator import simulate, zero_state
@@ -401,19 +401,23 @@ def test_every_row_of_a_global_block_equals_its_simulated_prep(n, layers):
     assert_global_rows_equal_simulated_preps(n, layers, rows=4)
 
 
-IDENTITY_FORM = WordForm(0, 0, 0, 0, 0)
-GATE_FORMS = {GateKind.X: WordForm(1, 0, 0, 0, 0), GateKind.H: WordForm(0, 0, 1, 0, 0),
-              GateKind.S: WordForm(0, 1, 0, 0, 0)}
+# The 24 word forms, then X, H and S on their own: `write_state`'s table
+# for the circuits below, whose rounds index it.
+TEST_FORMS = (*_WORD_FORMS, WordForm(1, 0, 0, 0, 0), WordForm(0, 0, 1, 0, 0),
+              WordForm(0, 1, 0, 0, 0))
+GATE_WORDS = {GateKind.X: 24, GateKind.H: 25, GateKind.S: 26}
+IDENTITY_WORD = CLIFFORD_1Q_WORDS.index(())
 
 
 def random_clifford_circuit(n: int, length: int, gen: np.random.Generator):
     """X, H, S and CX gates and whole CLIFFORD_1Q_WORDS words in any order,
     each of the five equally likely (no CX at n = 1): the circuit, and the
-    same steps as `CHForm.apply_round` arguments, one round per gate or word."""
+    same steps as `write_state` rounds over TEST_FORMS, one round per gate
+    or word."""
     gates, rounds = [], []
     for _ in range(length):
         kind = int(gen.integers(5 if n > 1 else 4))
-        words = [IDENTITY_FORM] * n
+        words = [IDENTITY_WORD] * n
         if kind == 4:
             control, target = (int(q) for q in gen.choice(n, size=2, replace=False))
             gates.append(Gate(GateKind.X, target, controls=(control,)))
@@ -423,21 +427,18 @@ def random_clifford_circuit(n: int, length: int, gen: np.random.Generator):
         if kind == 3:
             word = int(gen.integers(len(CLIFFORD_1Q_WORDS)))
             gates.extend(Gate(g, q) for g in CLIFFORD_1Q_WORDS[word])
-            words[q] = _WORD_FORMS[word]
+            words[q] = word
         else:
             gate_kind = (GateKind.X, GateKind.H, GateKind.S)[kind]
             gates.append(Gate(gate_kind, q))
-            words[q] = GATE_FORMS[gate_kind]
+            words[q] = GATE_WORDS[gate_kind]
         rounds.append((words, []))
     return Circuit(n, tuple(gates)), rounds
 
 
 def ch_form_state(n: int, rounds) -> np.ndarray:
-    state = CHForm(n)
-    for words, cnots in rounds:
-        state.apply_round(words, cnots)
     out = np.empty(1 << n, dtype=complex)
-    state.write(out)
+    write_state(n, TEST_FORMS, rounds, out)
     return out
 
 
@@ -459,8 +460,11 @@ def test_every_branch_of_the_h_update_is_hit():
     # Every line of the H update and of the decomposition it ends with runs,
     # so each branch's body runs: t == u, the CX and CZ column operations
     # when t and u differ off v, the CX ones when they differ on v only,
-    # each case of _h_decompose and the right S it may ask for.
-    codes = {clifford._h_update.__code__, clifford._h_decompose.__code__}
+    # each case of _h_decompose and the right S it may ask for. Every line
+    # of write_state runs too: in its rounds X, S^a with a odd and a = 2,
+    # S^c with c odd and c = 2, the phase k and the CNOT update.
+    codes = {clifford._h_update.__code__, clifford._h_decompose.__code__,
+             write_state.__code__}
     ran = set()
 
     def trace_lines(frame, event, arg):
@@ -482,7 +486,7 @@ def test_every_branch_of_the_h_update_is_hit():
         sys.settrace(previous)
     lines = {(code.co_name, line) for code in codes for _, _, line in code.co_lines()
              if line is not None and line != code.co_firstlineno}
-    assert {name for name, _ in lines} == {"_h_update", "_h_decompose"}
+    assert {name for name, _ in lines} == {"_h_update", "_h_decompose", "write_state"}
     assert lines - ran == set()
 
 
