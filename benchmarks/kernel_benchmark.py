@@ -35,6 +35,10 @@ verifier's block stimulus engine.
    with one regex match, against the token parser `_Parser(source).parse()`
    it must agree with, on the `emit_qasm` texts of the bundled corpus (all
    nine circuits per pass) and of qft(16).
+7. The block schedule of `verify`: for each scheme at n = 4, 8 and 12, the
+   best ms per `verify` of qft(n) against an equivalent rewrite (an H pair
+   inserted in front) with the default budget of 16 stimuli, which runs to
+   the end, and the row count of each block it ran (`report.blocks`).
 
 Usage: python3 benchmarks/kernel_benchmark.py [--max-qubits N] [--repeats R] [--json PATH]
 
@@ -56,7 +60,7 @@ import numpy as np
 
 from stimcheck import kernels, oracle, qasm
 from stimcheck.circuit import Gate, GateKind
-from stimcheck.equivalence import trace_fidelity
+from stimcheck.equivalence import VerificationConfig, trace_fidelity, verify
 from stimcheck.library import bundled_corpus, qft
 from stimcheck.mutation import ErrorOption, mutate
 from stimcheck.simulator import compile_ops, run_ops, simulate, zero_state
@@ -164,12 +168,14 @@ def witness_us(scheme, num_qubits: int, repeats: int, loops: int = 20) -> float:
 
 def show(tables: dict, key: str, title: str, columns, rows: list[dict]) -> None:
     """Print `rows` under `title`, one line each, every column right-aligned
-    as `(name, width, format)` gives it (None prints as "-"), and keep them
-    under `key` for the JSON report."""
+    as `(name, width, format)` gives it (None prints as "-", and a column
+    without a format prints as `str` gives it), and keep them under `key`
+    for the JSON report."""
     print(f"\n{title}")
     print(" ".join(f"{name:>{width}}" for name, width, _ in columns))
     for row in rows:
-        print(" ".join(f"{'-':>{width}}" if row[name] is None else f"{row[name]:>{width}{fmt}}"
+        print(" ".join(f"{'-':>{width}}" if row[name] is None
+                       else f"{row[name] if fmt else str(row[name]):>{width}{fmt}}"
                        for name, width, fmt in columns))
     tables[key] = rows
 
@@ -262,6 +268,23 @@ def main() -> None:
             for name, parse in parsers.items()}})
     show(tables, "parse_us_per_gate", "parsing emitted QASM, us per gate:",
          [("input", 14, ""), ("gates", 6, "d")] + [(name, 10, ".2f") for name in parsers], parses)
+
+    schedules = []
+    for scheme in (CLASSICAL, LOCAL, global_scheme()):
+        for n in (4, 8, 12):
+            spec = qft(n)
+            rewrite = spec.prepended(Gate(GateKind.H, 1), Gate(GateKind.H, 1))
+            config = VerificationConfig(scheme, seed=n)
+            schedules.append({
+                "scheme": scheme.kind, "qubits": n,
+                "ms/verify": best_seconds(lambda: verify(spec, rewrite, config),
+                                          args.repeats) * 1e3,
+                "blocks": list(verify(spec, rewrite, config).blocks)})
+    show(tables, "verify_schedule",
+         "verify of qft(n) against an equivalent rewrite, 16 stimuli: ms per verify, "
+         "and rows per block:",
+         [("scheme", 9, ""), ("qubits", 6, "d"), ("ms/verify", 10, ".2f"), ("blocks", 12, "")],
+         schedules)
 
     if args.json:
         report = {

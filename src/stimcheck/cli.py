@@ -80,9 +80,20 @@ _CONFIG_KEYS = ("circuit_paths", "schemes", "error_options", "layers", "error_se
                "stimuli_seeds", "max_stimuli", "epsilon", "output_path", "master_seed")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
+def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
+    """Each key's value and line number. Line ends are read as in text
+    mode; a byte that is not UTF-8 is reported at its line and column."""
+    # CR and LF bytes occur in UTF-8 only as those characters
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+        raise ValueError(f"{path}:{line}:{column}: byte 0x{data[exc.start]:02x} "
+                         f"is not UTF-8 ({exc.reason})") from None
+    values: dict[str, tuple[str, int]] = {}
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -92,45 +103,65 @@ def _read_config_file(path: str) -> dict[str, str]:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{number}: unknown key {key!r}; "
                              f"expected one of {', '.join(_CONFIG_KEYS)}")
-        values[key] = value
+        values[key] = value, number
     return values
+
+
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"must be at least 1, got {count}")
+    return count
+
+
+def _scheme_names(text: str) -> list[str]:
+    return [Scheme(name).kind for name in text.split(",")]  # Scheme checks each name
+
+
+def _error_options(text: str) -> tuple[ErrorOption, ...]:
+    try:
+        return tuple(_OPTION_BY_LABEL[label] for label in text.split(","))
+    except KeyError as exc:
+        raise ValueError(f"unknown error option {exc}") from None
 
 
 def _cmd_bench(args) -> int:
     file_values = _read_config_file(args.config) if args.config else {}
 
-    def pick(flag_value, key, cast, default):
+    def pick(flag_value, key, convert, default):
+        """`convert` of the flag's value, else of the file's, else the
+        default. An error names the key, and the file and line it is on."""
         if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return cast(file_values[key])
-        return default
+            value, where = flag_value, ""
+        elif key in file_values:
+            value, number = file_values[key]
+            where = f"{args.config}:{number}: "
+        else:
+            return default
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ValueError(f"{where}{key}: {exc}") from None
 
     circuits = list(args.circuits or [])
     if not circuits and "circuit_paths" in file_values:
-        circuits = file_values["circuit_paths"].split(",")
+        circuits = file_values["circuit_paths"][0].split(",")
     if not circuits:
         print("error: no circuit files given", file=sys.stderr)
         return EXIT_ERROR
 
-    scheme_names = pick(args.schemes, "schemes", lambda s: s.split(","), SCHEME_KINDS)
-    option_labels = pick(args.options, "error_options",
-                         lambda s: s.split(","), list(_OPTION_BY_LABEL))
-    try:
-        options = tuple(_OPTION_BY_LABEL[label] for label in option_labels)
-    except KeyError as exc:
-        print(f"error: unknown error option {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    layers = pick(args.layers, "layers", int, None)
+    scheme_names = pick(args.schemes, "schemes", _scheme_names, SCHEME_KINDS)
+    options = pick(args.options, "error_options", _error_options, tuple(ErrorOption))
+    layers = pick(args.layers, "layers", lambda s: Scheme("global", int(s)).layers, None)
     config = BenchmarkConfig(
         circuit_paths=tuple(circuits),
         schemes=tuple(Scheme(name, layers if name == "global" else None)
                       for name in scheme_names),
         error_options=options,
-        error_seeds=pick(args.error_seeds, "error_seeds", int, BenchmarkConfig.error_seeds),
-        stimuli_seeds=pick(args.stimuli_seeds, "stimuli_seeds", int,
+        error_seeds=pick(args.error_seeds, "error_seeds", _count, BenchmarkConfig.error_seeds),
+        stimuli_seeds=pick(args.stimuli_seeds, "stimuli_seeds", _count,
                            BenchmarkConfig.stimuli_seeds),
-        max_stimuli=pick(args.max_stimuli, "max_stimuli", int, BenchmarkConfig.max_stimuli),
+        max_stimuli=pick(args.max_stimuli, "max_stimuli", _count, BenchmarkConfig.max_stimuli),
         epsilon=pick(args.epsilon, "epsilon", float, BenchmarkConfig.epsilon),
         output_path=pick(args.out, "output_path", str, BenchmarkConfig.output_path),
         master_seed=pick(args.seed, "master_seed", int, BenchmarkConfig.master_seed),
@@ -234,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the error-injection benchmark")
     p_bench.add_argument("circuits", nargs="*", help="QASM circuit files")
     p_bench.add_argument("--config", default=None, help="key = value config file")
-    p_bench.add_argument("--schemes", type=lambda s: s.split(","), default=None)
-    p_bench.add_argument("--options", type=lambda s: s.split(","), default=None)
+    p_bench.add_argument("--schemes", default=None)
+    p_bench.add_argument("--options", default=None)
     p_bench.add_argument("--error-seeds", type=int, default=None)
     p_bench.add_argument("--stimuli-seeds", type=int, default=None)
     p_bench.add_argument("--max-stimuli", type=int, default=None)

@@ -4,10 +4,13 @@ exhausted.
 
 `verify` and `verify_exhaustive_local` share one block engine. Each verify
 compiles the specification and the realization once. Stimuli are drawn and
-prepared as blocks of B rows of a (B, 2^n) array, with B = 1, 2, 4, 8, ...
-capped by the remaining budget, so that an early detection wastes at most
-the rest of its block. A block holds at most BLOCK_AMPS amplitudes, so from
-n = 16 on every block has one row. Each global row is prepared by one call
+prepared as blocks of B rows of a (B, 2^n) array, with B = 1, 4, 16, ...
+capped by the remaining budget, so a 16-stimulus budget runs in three
+blocks of 1, 4 and 11 rows. A detection wastes the rest of its block: at
+most 3 rows in the second block, and in general a detection at stimulus k
+has prepared fewer than 4k rows. A block holds at most BLOCK_AMPS
+amplitudes, so from n = 16 on every block has one row. The report records
+the row count of each block. Each global row is prepared by one call
 of `clifford.write_state`, which takes a stabilizer CH-form from |0...0>
 through every sub-round in time polynomial in n and then writes its 2^n
 amplitudes once. The specification runs in place on the prepared block and
@@ -52,6 +55,11 @@ EXACT_LIMIT = 10
 # Amplitudes per block: blocks amortize per-call kernel cost, which matters
 # only on small states; beyond this a wider block just takes more memory.
 BLOCK_AMPS = 1 << 16
+# Each block has this many times the rows of the one before, so that a pair
+# which runs its whole budget pays for few rounds of per-op kernel calls
+# while a detection at the first stimulus, the common case for a faulty
+# realization, still costs one row.
+BLOCK_GROWTH = 4
 
 
 class Verdict(Enum):
@@ -80,6 +88,8 @@ class VerificationReport:
     fidelities: list[float] = field(default_factory=list)
     witness: Stimulus | None = None
     elapsed: float = 0.0
+    # the row count of each block the verify ran, in order
+    blocks: tuple[int, ...] = ()
 
     @property
     def min_fidelity(self) -> float:
@@ -108,24 +118,29 @@ def _run_block(draws: Draws, n: int, spec_ops, impl_ops) -> tuple[np.ndarray, np
 
 
 def _run_blocks(spec, impl, budget, draw_block, seed_tag, epsilon) -> VerificationReport:
-    """Check `budget` stimuli in blocks of 1, 2, 4, ... rows, each block
-    capped by the remaining budget and by BLOCK_AMPS amplitudes.
+    """Check `budget` stimuli in blocks of 1, 4, 16, ... rows (growing by
+    BLOCK_GROWTH), each block capped by the remaining budget and by
+    BLOCK_AMPS amplitudes.
 
     `draw_block(rows)` returns the Draws of the next `rows` stimuli, and
     `seed_tag(k, choice)` the tag of stimulus k from its row of choices.
     Fidelities are checked row by row in stimulus order and the first
     detection ends the run, so `stimuli_used` and `fidelities` are what a
     stimulus-by-stimulus loop would report; the rest of that block is
-    discarded. The witness circuit is built only for the detecting row.
+    discarded, so a detection at stimulus k has prepared fewer than 4k rows
+    (at most 3 wasted in the second block). The witness circuit is built
+    only for the detecting row.
     """
     start = time.perf_counter()
     n = spec.num_qubits
     spec_ops, impl_ops = compile_ops(spec), compile_ops(impl)
     max_rows = max(1, BLOCK_AMPS >> n)
     fidelities: list[float] = []
+    blocks: list[int] = []
     rows = 1
     while len(fidelities) < budget:
         draws = draw_block(min(rows, max_rows, budget - len(fidelities)))
+        blocks.append(len(draws))
         out_spec, out_impl = _run_block(draws, n, spec_ops, impl_ops)
         for row in range(len(draws)):
             f = fidelity(out_spec[row], out_impl[row])
@@ -135,13 +150,13 @@ def _run_blocks(spec, impl, budget, draw_block, seed_tag, epsilon) -> Verificati
                 witness = draws.stimulus(row, seed_tag(k, draws.choices[row]))
                 return VerificationReport(
                     Verdict.ERROR_DETECTED, k + 1, fidelities, witness,
-                    time.perf_counter() - start,
+                    time.perf_counter() - start, tuple(blocks),
                 )
         del out_spec, out_impl
-        rows *= 2
+        rows *= BLOCK_GROWTH
     return VerificationReport(
         Verdict.BUDGET_EXHAUSTED, len(fidelities), fidelities, None,
-        time.perf_counter() - start,
+        time.perf_counter() - start, tuple(blocks),
     )
 
 

@@ -243,7 +243,10 @@ class TestBench:
     @pytest.mark.parametrize("line,message", [
         ("eror_seeds = 1", "unknown key 'eror_seeds'; expected one of circuit_paths, "),
         ("error_seeds 1", "expected 'key = value', found 'error_seeds 1'"),
-    ], ids=["misspelled-key", "no-equals-sign"])
+        ("error_seeds = abc", "error_seeds: invalid literal for int() with base 10: 'abc'"),
+        ("error_seeds = 0", "error_seeds: must be at least 1, got 0"),
+        ("schemes = local,glob", "schemes: unknown scheme 'glob'; expected one of "),
+    ], ids=["misspelled-key", "no-equals-sign", "bad-int", "zero-count", "unknown-scheme"])
     def test_config_file_error_names_the_file_and_line(self, ghz_file, tmp_path, capsys,
                                                         monkeypatch, line, message):
         def no_verify(*args):
@@ -256,6 +259,17 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {config}:3: {message}")
+
+    def test_undecodable_config_byte_names_its_line_and_column(self, ghz_file, tmp_path,
+                                                                capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_bytes(b"# settings\r\nmax_stimuli = 2\rschemes = caf\xc3\xa9,\xff\n")
+        assert main(["bench", ghz_file, "--config", str(config)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the column counts characters: "schemes = café," is 15 of them
+        assert captured.err == (f"error: {config}:3:16: byte 0xff is not UTF-8 "
+                                "(invalid start byte)\n")
 
 
 class TestMutate:

@@ -338,6 +338,59 @@ def test_blocks_hold_at_most_2_to_the_16_amplitudes(monkeypatch, n, budget, max_
     assert max(rows) == max_rows
 
 
+@pytest.mark.parametrize("scheme", [CLASSICAL, LOCAL, global_scheme()], ids=lambda s: s.kind)
+def test_an_equivalent_pair_runs_its_16_stimuli_in_three_blocks(scheme):
+    spec = qft(4)
+    impl = spec.prepended(Gate(GateKind.H, 1), Gate(GateKind.H, 1))
+    report = verify(spec, impl, VerificationConfig(scheme, max_stimuli=16, seed=4))
+    assert report.verdict is Verdict.BUDGET_EXHAUSTED
+    assert report.blocks == (1, 4, 11)
+
+
+@pytest.mark.parametrize("n,budget,blocks", [
+    (12, 64, (1, 4, 16, 16, 16, 11)),  # 16 rows of 2^12 fill BLOCK_AMPS
+    (16, 4, (1, 1, 1, 1)),
+])
+def test_blocks_grow_fourfold_up_to_2_to_the_16_amplitudes(n, budget, blocks):
+    spec = ghz(n)
+    report = verify(spec, spec, VerificationConfig(LOCAL, max_stimuli=budget, seed=1))
+    assert report.stimuli_used == budget
+    assert report.blocks == blocks
+
+
+def test_a_detection_at_the_first_stimulus_runs_one_row():
+    # X flips a classical stimulus's bit, so every stimulus detects it
+    report = verify(Circuit(3), Circuit(3, (Gate(GateKind.X, 0),)),
+                    VerificationConfig(CLASSICAL, max_stimuli=16, seed=0))
+    assert report.stimuli_used == 1
+    assert report.blocks == (1,)
+
+
+@pytest.mark.parametrize("pair,scheme", [(cnot_pair, CLASSICAL), (phase_error_pair, LOCAL)],
+                         ids=["cnot-classical", "phase-local"])
+def test_a_detection_in_the_second_block_ends_it(pair, scheme):
+    spec, impl = pair()
+    for seed in range(100):  # the first seed whose detection lands in stimuli 2-5
+        config = VerificationConfig(scheme, max_stimuli=16, seed=seed)
+        report = verify(spec, impl, config)
+        if 2 <= report.stimuli_used <= 5:
+            break
+    assert 2 <= report.stimuli_used <= 5, "no seed below 100 detects in the second block"
+    assert report.blocks == (1, 4)
+    rng = RandomSource(seed)
+    stimuli = (next_stimulus(scheme, 2, rng, seed_tag=f"{seed}:{j}") for j in range(16))
+    _assert_same_report(report, _reference_run(spec, impl, stimuli, config.epsilon))
+
+
+def test_exhaustive_local_blocks_cover_every_stimulus():
+    spec = qft(4)
+    report = verify_exhaustive_local(spec, spec.prepended(Gate(GateKind.H, 1),
+                                                          Gate(GateKind.H, 1)))
+    assert report.verdict is Verdict.BUDGET_EXHAUSTED
+    assert sum(report.blocks) == report.stimuli_used == 6 ** 4
+    assert report.blocks == (1, 4, 16, 64, 256, 955)
+
+
 def _assert_trace_matches_oracle(spec, impl):
     u, v = oracle.build_unitary(spec), oracle.build_unitary(impl)
     result = trace_fidelity(spec, impl)

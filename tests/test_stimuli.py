@@ -261,7 +261,7 @@ class TestNextStimulus:
         assert stim.seed_tag == "51:0"
 
 
-# Blocks of 1, 2, 4 and 3 rows drawn from one stream, as verify draws them.
+# Blocks of 1, 2, 4 and 3 rows drawn in turn from one stream, as verify draws its blocks.
 BLOCK_SIZES = (1, 2, 4, 3)
 
 
