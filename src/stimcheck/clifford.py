@@ -32,11 +32,13 @@ A global stimulus is built in sub-rounds: one of the 24 single-qubit
 Cliffords on every qubit, then CNOTs. Each Clifford is written once as
 exp(i pi k / 4) S^c H^b S^a X^x (`WordForm`, X applied first, b at most 1):
 8 of the 24 need no H and 16 need one, where their shortest H, S words
-need 1.25 on average. `write_state` is the whole preparation: it starts
-the form at |0...0>, applies every sub-round, its words and then its
-CNOTs, holding the form in local variables throughout, and writes the
-2^n amplitudes. An H goes through `_h_update`, a function of the form's
-ints, which is the only place the H update is written.
+need 1.25 on average. `write_states` is the whole preparation of a block
+of rows. For each row, `_evolve` starts the form at |0...0> and applies
+every sub-round, its words and then its CNOTs, holding the form in local
+variables throughout. Then the 2^n amplitudes of every row are written in
+one pass, so that its numpy calls are paid once per block, not once per
+row. An H goes through `_h_update`, a function of the form's ints, which
+is the only place the H update is written.
 
 Each bit matrix is a single Python int with row p in bits p*n .. p*n + n - 1,
 so a row or a column operation is a few big-int operations; gamma is two
@@ -162,28 +164,16 @@ def _h_update(n: int, row: int, col: int, F: int, G: int, M: int, g0: int, g1: i
     return (F, G, M, g0, g1, v | bit if b else v & ~bit, y | bit if c else y, omega + k)
 
 
-def write_state(n: int, forms: Sequence[WordForm],
-                rounds: Iterable[tuple[Sequence[int], Iterable[Sequence[int]]]],
-                out: np.ndarray) -> None:
-    """Write into `out` the 2^n amplitudes, qubit 0 the least significant
-    bit of the index, of |0...0> after `rounds`. Each round is
-    (words, cnots): the Clifford `forms[words[q]]` on each qubit q, then a
-    CX for each (control, target) of `cnots`, in order.
+def _evolve(n: int, forms: Sequence[WordForm],
+            rounds: Iterable[tuple[Sequence[int], Iterable[Sequence[int]]]]):
+    """The CH-form of |0...0> after `rounds`, as the three tables that
+    `write_states` writes its amplitudes from:
 
-    The last round's form is written out as
-    <x|phi> = omega <0| U_C^-1 X(x) U_C U_H |s>, because U_C fixes <0|,
-    and U_C^-1 X(x) U_C = i^mu X(a) Z(b) with a = xF and b = xM. So the
-    amplitude is omega 2^(-|v|/2) i^theta(x) where a agrees with s off
-    v, and 0 elsewhere, with theta = mu + 2 a.b + 2 a.(s & v). Setting
-    bit p of an x below 2^p adds F_p to a and c_p + 2 x.w_p to theta,
-    with c_p = gamma_p + 2 F_p.(M_p ^ (s & v)) and w_p[j] = F_j.M_p.
-    Both are built by doubling over p, a (its bits off v only) in uint32
-    and theta mod 4 in uint8: 6 bytes per amplitude of arrays of its
-    own, freed when it returns, before the verifier copies the block for
-    spec and impl. A table lookup then writes `out`, by chunks and with
-    clipped indices, so that `np.take` copies only a chunk of theta at a
-    time and never buffers `out`.
-    """
+    - F_p & ~v for p = 0..n-1, then s & ~v;
+    - c_p, then 2 w_p[j] mod 4 for j = 0..p-1, for each p in turn, the
+      order in which the doubling pass adds them to theta;
+    - omega 2^(-|v|/2) i^t for t = 0..3, then 0, the amplitude of each
+      value of theta and of an x off the support."""
     row = (1 << n) - 1  # row 0 of a matrix
     col = sum(1 << (p * n) for p in range(n))  # column 0 of a matrix
     # |0...0>: U_C = U_H = 1, so F = G = identity, M = gamma = 0 and s = 0;
@@ -232,34 +222,88 @@ def write_state(n: int, forms: Sequence[WordForm],
             F ^= f_t << ctl
             M ^= ((M >> tgt) & row) << ctl
 
-    size = 1 << n
-    rows_f = [(F >> (p * n)) & row for p in range(n)]
-    rows_m = [(M >> (p * n)) & row for p in range(n)]
     nv = v ^ row
     sv = s & v
-    xf = np.empty(size, dtype=np.uint32)  # a = xF, its bits off v
-    theta = np.empty(size, dtype=np.uint8)
-    step = np.empty(size, dtype=np.uint8)  # theta's increment, later the support mask
+    off_v, steps, rows_f = [], [], []
+    for shift in range(0, n * n, n):
+        f, m = (F >> shift) & row, (M >> shift) & row  # F_p and M_p
+        off_v.append(f & nv)
+        # c_p = gamma_p + 2 F_p.(M_p ^ (s & v)), then 2 w_p[j] for j < p
+        steps.append((((g0 >> shift) & 1) + 2 * (((g1 >> shift) & 1) + (f & (m ^ sv)).bit_count()))
+                     & 3)
+        for f_j in rows_f:
+            steps.append(((f_j & m).bit_count() & 1) << 1)
+        rows_f.append(f)
+    off_v.append(s & nv)
+    scale = _EIGHTH_ROOTS[omega & 7] * _R ** v.bit_count()
+    return off_v, steps, [scale * z for z in _POWERS_OF_I] + [0]
+
+
+def write_states(n: int, forms: Sequence[WordForm],
+                 rows: Iterable[Iterable[tuple[Sequence[int], Iterable[Sequence[int]]]]],
+                 out: np.ndarray) -> None:
+    """Write into row r of the (rows, 2^n) block `out` the amplitudes,
+    qubit 0 the least significant bit of the index, of |0...0> after the
+    r-th rounds of `rows`. Each round is (words, cnots): the Clifford
+    `forms[words[q]]` on each qubit q, then a CX for each
+    (control, target) of `cnots`, in order.
+
+    Every row's form is taken through its rounds first, and `rows` is
+    used up before the write allocates anything of the block's size. A
+    row's last form is written out as
+    <x|phi> = omega <0| U_C^-1 X(x) U_C U_H |s>, because U_C fixes <0|,
+    and U_C^-1 X(x) U_C = i^mu X(a) Z(b) with a = xF and b = xM. So the
+    amplitude is omega 2^(-|v|/2) i^theta(x) where a agrees with s off
+    v, and 0 elsewhere, with theta = mu + 2 a.b + 2 a.(s & v). Setting
+    bit p of an x below 2^p adds F_p to a and c_p + 2 x.w_p to theta,
+    with c_p = gamma_p + 2 F_p.(M_p ^ (s & v)) and w_p[j] = F_j.M_p.
+    Both are built for all rows at once by doubling over p, a (its bits
+    off v only) in uint32 and theta mod 4 in uint8, so the numpy calls
+    of the pass are paid once per block: 6 bytes per amplitude of arrays
+    of its own, freed when it returns, before the verifier copies the
+    block for spec and impl. A table lookup then writes each row of
+    `out`, by chunks and with clipped indices, so that `np.take` copies
+    only a chunk of theta at a time and never buffers `out`.
+    """
+    tables = [_evolve(n, forms, rounds) for rounds in rows]
+    phases = np.array([table[2] for table in tables], dtype=complex)  # (rows, 5)
+    count, size = len(tables), 1 << n
+    if count == 1:
+        # one row: 1-D arrays and its tables' Python ints, the operands on
+        # which a numpy call costs least
+        off_v, steps, _ = tables[0]
+        shape = (size,)
+    else:
+        # A column per row, amplitude-major, so that a slice of amplitudes
+        # is a slice of the first axis, and entry i of a table is a (rows,)
+        # view that broadcasts over it: (n + 1, rows), (n (n + 1) / 2, rows).
+        off_v = np.array([table[0] for table in tables], dtype=np.uint32).T
+        steps = np.array([table[1] for table in tables], dtype=np.uint8).T
+        shape = (size, count)
+    del tables
+    xf = np.empty(shape, dtype=np.uint32)  # a = xF, its bits off v
+    theta = np.empty(shape, dtype=np.uint8)
+    step = np.empty(shape, dtype=np.uint8)  # theta's increment, later the support mask
     xf[0] = theta[0] = 0
+    t = 0  # index in `steps` of c_p
     for p in range(n):
         half = 1 << p
-        np.bitwise_xor(xf[:half], rows_f[p] & nv, out=xf[half:2 * half])
-        gamma = ((g0 >> (p * n)) & 1) + 2 * ((g1 >> (p * n)) & 1)
-        step[0] = (gamma + 2 * (rows_f[p] & (rows_m[p] ^ sv)).bit_count()) & 3
+        np.bitwise_xor(xf[:half], off_v[p], out=xf[half:2 * half])
+        step[0] = steps[t]
         for j in range(p):
             width = 1 << j
-            np.bitwise_xor(step[:width], 2 * ((rows_f[j] & rows_m[p]).bit_count() & 1),
-                           out=step[width:2 * width])
+            np.bitwise_xor(step[:width], steps[t + 1 + j], out=step[width:2 * width])
+        t += p + 1
         np.add(theta[:half], step[:half], out=theta[half:2 * half])
     theta &= 3
     mask = step.view(bool)
-    np.not_equal(xf, s & nv, out=mask)
+    np.not_equal(xf, off_v[n], out=mask)
     np.putmask(theta, mask, 4)  # off the support
-    scale = _EIGHTH_ROOTS[omega & 7] * _R ** v.bit_count()
-    table = np.array([scale * z for z in _POWERS_OF_I] + [0], dtype=complex)
     # `take` copies its uint8 indices to intp, and in its default "raise"
     # mode it also writes through a copy of `out`; chunks bound the first
     # copy to 64 KB, and "clip", a no-op on indices 0..4, avoids the second.
-    for start in range(0, size, _TAKE_CHUNK):
-        stop = start + _TAKE_CHUNK
-        np.take(table, theta[start:stop], out=out[start:stop], mode="clip")
+    columns = theta.reshape(size, count)
+    for r, table in enumerate(phases):
+        for start in range(0, size, _TAKE_CHUNK):
+            stop = start + _TAKE_CHUNK
+            np.take(table, columns[start:stop, r], out=out[r, start:stop], mode="clip")

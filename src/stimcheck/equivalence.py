@@ -10,16 +10,17 @@ blocks of 1, 4 and 11 rows. A detection wastes the rest of its block: at
 most 3 rows in the second block, and in general a detection at stimulus k
 has prepared fewer than 4k rows. A block holds at most BLOCK_AMPS
 amplitudes, so from n = 16 on every block has one row. The report records
-the row count of each block. Each global row is prepared by one call
-of `clifford.write_state`, which takes a stabilizer CH-form from |0...0>
-through every sub-round in time polynomial in n and then writes its 2^n
-amplitudes once. The specification runs in place on the prepared block and
-the realization on one copy, so two blocks are live; both are freed before
-the next block is prepared. A row is a state, a (2^n,) array as in
-`simulator`, so `fidelity` compares rows as they are. Only the row that
-detects an error gets its preparation circuit rebuilt, as the witness, from
-its recorded draws; the circuit is assembled from a per-n table of shared
-gates (`stimuli._gate_table`), not built gate by gate.
+the row count of each block. A global block is prepared by one call of
+`clifford.write_states`, which takes each row's stabilizer CH-form from
+|0...0> through every sub-round in time polynomial in n and then writes
+the 2^n amplitudes of all rows in one pass. The specification runs in
+place on the prepared block and the realization on one copy, so two
+blocks are live; both are freed before the next block is prepared. A row
+is a state, a (2^n,) array as in `simulator`, so `fidelity` compares rows
+as they are. Only the row that detects an error gets its preparation
+circuit rebuilt, as the witness, from its recorded draws; the circuit is
+assembled from a per-n table of shared gates (`stimuli._gate_table`), not
+built gate by gate.
 
 `trace_fidelity` takes the same block step on classical stimuli, the
 consecutive computational basis states 0, 1, ..., 2^n - 1, and sums

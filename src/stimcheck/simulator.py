@@ -65,6 +65,7 @@ def _diagonal(m) -> bool:
 
 
 _CX = gate_entries(GateKind.X)
+_IDENTITY = (1, 0, 0, 1)
 
 
 def compile_ops(circuit: Circuit) -> tuple[tuple, ...]:
@@ -82,8 +83,14 @@ def compile_ops(circuit: Circuit) -> tuple[tuple, ...]:
     diagonal D pending on the target in between, cancels that op: CX.D.CX
     is D (left pending) times diag(d1/d0, d0/d1) on the target where the
     control is set. This is the controlled-phase pattern u1.cx.u1.cx.u1,
-    which made up most of a QFT's ops. Gate ranges are not checked again:
-    `Circuit` rejects out-of-range gates when it is built.
+    which made up most of a QFT's ops.
+
+    An op whose matrix multiplied out to exactly the identity, such as
+    u1(-t/2).u1(t/2) left pending by a cancelled pair, or X.X, is dropped
+    at the end, after the cancellations ran as if it were there. The kernel
+    leaves a state bitwise unchanged under such an op, so dropping it
+    changes no state. Gate ranges are not checked again: `Circuit` rejects
+    out-of-range gates when it is built.
     """
     ops: list = []
     pending: dict[int, tuple] = {}
@@ -119,9 +126,8 @@ def compile_ops(circuit: Circuit) -> tuple[tuple, ...]:
         if prior is not None and not (_diagonal(prior) and _diagonal(m)):
             emit((target, 0, *pending.pop(target)), (target,))
         emit((target, mask, *m), gate.qubits)
-    ops = [op for op in ops if op is not None]
     ops.extend((q, 0, *m) for q, m in pending.items())
-    return tuple(ops)
+    return tuple(op for op in ops if op is not None and op[2:] != _IDENTITY)
 
 
 def apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:

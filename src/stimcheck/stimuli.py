@@ -13,33 +13,38 @@ products of `base_matrix` of X, H and S.
 `draw` records only the random choices behind a block of stimuli, one row
 per stimulus, in a `Draws`: classical bits, local state indices, or, for
 global, each qubit's Clifford word index and the CNOT pairs of every
-sub-round. It makes the same generator calls, in the same order and with
-the same sizes, as drawing each stimulus on its own, so a stimulus does not
-depend on the block it is drawn in. `Draws.prepare` builds the prepared
+sub-round. It gives the same values, and leaves each generator in the same
+end state, as drawing each stimulus on its own, so a stimulus does not
+depend on the block it is drawn in. Classical and local rows come from one
+generator call each; the global rows drawn in turn from one source come
+from one buffer of raw PCG64 outputs, computed with numpy's own
+algorithms: Lemire's bounded integers for the words, a Fisher-Yates pass
+with masked rejection for the CNOT matching, and a comparison of the raw
+output with 2^63 for each coin. `Draws.prepare` builds the prepared
 states directly as a (B, 2^n) block: one amplitude per row for classical,
 and an outer product of single-qubit states for local. A global row is a
-stabilizer state, which one call of `clifford.write_state` builds in
-polynomial time from |0...0>, one sub-round per update (each qubit's
-Clifford as its form, with at most one H, then the CNOTs), and then writes
-as the row's amplitudes. `Draws.prep` rebuilds one row's preparation
-circuit, which the verifier does only for a witness. It assembles the
-circuit from a per-n table of shared gates, built on the first witness at
-that qubit count, so a witness costs about as much as copying references
-to its gates. `next_stimulus` is a draw of one row turned into a
-`Stimulus`.
+stabilizer state. One call of `clifford.write_states` takes each row's
+CH-form from |0...0> in polynomial time, one sub-round per update (each
+qubit's Clifford as its form, with at most one H, then the CNOTs), and
+then writes the amplitudes of every row of the block in one pass.
+`Draws.prep` rebuilds one row's preparation circuit, which the verifier
+does only for a witness. It assembles the circuit from a per-n table of
+shared gates, built on the first witness at that qubit count, so a witness
+costs about as much as copying references to its gates. `next_stimulus`
+is a draw of one row turned into a `Stimulus`.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress, groupby, product
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, base_matrix
-from .clifford import WordForm, write_state
+from .clifford import WordForm, write_states
 from .simulator import simulate, zero_state
 
 SCHEME_KINDS = ("classical", "local", "global")
@@ -167,7 +172,7 @@ def _word_forms() -> tuple[WordForm, ...]:
     return tuple(forms)
 
 
-# CLIFFORD_1Q_WORDS[w] as the canonical form that clifford.write_state takes
+# CLIFFORD_1Q_WORDS[w] as the canonical form that clifford.write_states takes
 _WORD_FORMS = _word_forms()
 
 
@@ -210,27 +215,111 @@ def local_prep(choice) -> Circuit:
     return Circuit(len(choice), gates, name="local-stimulus")
 
 
-def _draw_global(num_qubits: int, layers: int, gen: np.random.Generator):
-    """Each sub-round's Clifford word index per qubit, then its CNOT
-    (control, target) pairs: uniform word draws, a uniform permutation
-    matched in consecutive pairs, and a fair coin for each orientation.
+# A refill draws as many raw outputs as the sub-rounds still to come use on
+# average at most, 2n each (n/2 for the words, at most n - 1 for the
+# permutation and n/2 for the coins), but no more than this
+_RAW_CHUNK = 1 << 12
+# numpy's Lemire draw of a word below 24 from a 32-bit v rejects v while the
+# low word of 24 v is below 2^32 mod 24
+_WORD_THRESHOLD = (1 << 32) % 24
+_LOW_WORD = (1 << 32) - 1
+_SPLIT = np.array([0, 32], dtype=np.uint64)
+
+
+def _refill(halves: list[int], bits, outputs: int) -> None:
+    """Append to `halves` the 32-bit halves, low half first, of
+    min(outputs, _RAW_CHUNK) raw outputs of `bits`, at least one."""
+    raw = bits.random_raw(max(1, min(outputs, _RAW_CHUNK)))
+    halves += (raw[:, None] >> _SPLIT).astype(np.uint32).ravel().tolist()
+
+
+def _draw_global(num_qubits: int, layers: int, gen: np.random.Generator, rows: int):
+    """The draws of `rows` consecutive global stimuli from `gen`, as
+    `Draws.choices` and `Draws.pairs` hold them: every sub-round's Clifford
+    word index per qubit, and its CNOT (control, target) qubits. Each
+    sub-round draws uniform words, a uniform permutation matched in
+    consecutive pairs, and a fair coin for each orientation.
 
     Each layer runs two sub-rounds. Two per layer were chosen empirically:
     with one sub-round the ensemble average of the outcome fidelity still
     deviates from the average gate fidelity by ~0.08 at l = n = 4, with two
     it agrees within sampling error.
 
-    A sub-round draws its n words in one `integers` call and its n // 2
-    coins in one `random` call; on PCG64 these give the values of n and
-    n // 2 scalar calls, which `test_global_draws_are_golden` pins."""
-    words, pairs = [], []
-    for _ in range(2 * layers):
-        words.append(gen.integers(0, 24, size=num_qubits).tolist())
-        order = gen.permutation(num_qubits).tolist()
-        coins = gen.random(num_qubits // 2).tolist()
-        pairs.append([(b, a) if coin < 0.5 else (a, b)
-                      for a, b, coin in zip(order[::2], order[1::2], coins)])
-    return words, pairs
+    The values, and the state `gen` is left in, are those of the generator
+    calls `gen.integers(0, 24, size=n)`, `gen.permutation(n)` and
+    `gen.random(n // 2)` per sub-round, computed from raw PCG64 outputs
+    with numpy's own algorithms:
+
+    - a 32-bit draw is the buffered high half of the last output if there
+      is one, else the low half of the next output, whose high half is then
+      buffered;
+    - a word is Lemire's bounded integer, (24 v) >> 32 of a 32-bit v,
+      drawn again while the low word of 24 v is below 2^32 mod 24;
+    - the permutation is a Fisher-Yates pass over 0..n-1: for i from n - 1
+      down to 1, swap i with j, a 32-bit draw masked to the bits of i and
+      drawn again while above i;
+    - a coin takes a whole output and leaves the buffer alone; it is below
+      0.5 exactly when the output is below 2^63.
+
+    The outputs come from `random_raw` in chunks. Afterwards the generator
+    is set back to its start state, advanced by the outputs used, and given
+    back its 32-bit buffer (`has_uint32`, `uinteger`)."""
+    n = num_qubits
+    bits = gen.bit_generator
+    start = bits.state
+    has, buffered = start["has_uint32"], start["uinteger"]
+    masks = [(1 << i.bit_length()) - 1 for i in range(n)]
+    coins = n // 2
+    halves: list[int] = []
+    k = 0  # index in `halves` of the low half of the next unused output
+    words: list[int] = []
+    pairs: list[int] = []
+    # A 32-bit draw is written out in both loops below: a call per draw
+    # would cost about as much as the draw itself.
+    for left in range(2 * layers * rows, 0, -1):
+        outputs = 2 * n * left
+        for _ in range(n):
+            while True:
+                if has:
+                    v, has = buffered, False
+                else:
+                    if k == len(halves):
+                        _refill(halves, bits, outputs)
+                    v, buffered, has = halves[k], halves[k + 1], True
+                    k += 2
+                v *= 24
+                if v & _LOW_WORD >= _WORD_THRESHOLD:
+                    break
+            words.append(v >> 32)
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = masks[i]
+            while True:
+                if has:
+                    v, has = buffered, False
+                else:
+                    if k == len(halves):
+                        _refill(halves, bits, outputs)
+                    v, buffered, has = halves[k], halves[k + 1], True
+                    k += 2
+                v &= mask
+                if v <= i:
+                    break
+            order[i], order[v] = order[v], order[i]
+        while len(halves) < k + 2 * coins:
+            _refill(halves, bits, outputs)
+        for a, b, high in zip(order[::2], order[1::2], halves[k + 1:k + 2 * coins:2]):
+            pairs += (b, a) if high < 1 << 31 else (a, b)
+        k += 2 * coins
+    bits.state = start
+    bits.advance(k // 2)
+    end = bits.state
+    end["has_uint32"], end["uinteger"] = int(has), buffered
+    bits.state = end
+    shape = (rows, 2 * layers)
+    return (np.array(words, dtype=np.intp).reshape(*shape, n),
+            # (rows, sub-rounds, n // 2, 2), also when n = 1 leaves no pairs
+            np.array(pairs, dtype=np.intp).reshape(*shape, coins, 2))
 
 
 @dataclass(frozen=True)
@@ -281,8 +370,8 @@ class Draws:
     def prepare(self) -> np.ndarray:
         """The prepared states as a C-contiguous (rows, 2^n) block, row b
         equal to simulating `prep(b)` on |0...0>, global phase included.
-        Each global row is written from its own CH-form, its sub-rounds in
-        `prep`'s order."""
+        Each global row is taken through its own CH-form, its sub-rounds in
+        `prep`'s order, and then every row is written in one pass."""
         n, rows = self.num_qubits, len(self)
         if self.scheme.kind == "classical":
             block = np.zeros((rows, 1 << n), dtype=complex)
@@ -291,8 +380,10 @@ class Draws:
         if self.scheme.kind == "local":
             return _product(_LOCAL_STATES[self.choices])
         block = np.empty((rows, 1 << n), dtype=complex)
-        for words, pairs, out in zip(self.choices.tolist(), self.pairs.tolist(), block):
-            write_state(n, _WORD_FORMS, zip(words, pairs), out)
+        # The lists go with the generator, once write_states has evolved the
+        # last row, before it allocates its arrays.
+        write_states(n, _WORD_FORMS, (zip(words, pairs) for words, pairs in
+                                      zip(self.choices.tolist(), self.pairs.tolist())), block)
         return block
 
 
@@ -314,21 +405,19 @@ def _product(states: np.ndarray) -> np.ndarray:
 def draw(scheme: Scheme, num_qubits: int, sources: Sequence[RandomSource]) -> Draws:
     """Draw one stimulus from each source in turn, in the order given; a
     source listed k times gives k consecutive stimuli of its stream, the
-    ones `next_stimulus` would draw from it one at a time."""
-    gens = [source.gen for source in sources]
+    ones `next_stimulus` would draw from it one at a time.
+
+    Each run of consecutive identical sources draws its global rows in one
+    `_draw_global` call, from raw PCG64 outputs: the same values and end
+    state as the generator calls of each stimulus on its own."""
     if scheme.kind == "global":
         layers = scheme.layers if scheme.layers is not None else num_qubits
-        drawn = [_draw_global(num_qubits, layers, gen) for gen in gens]
-        pairs = np.array([pairs for _, pairs in drawn], dtype=np.intp)
-        return Draws(
-            global_scheme(layers),
-            np.array([words for words, _ in drawn], dtype=np.intp),
-            # (rows, sub-rounds, n // 2, 2), also when n = 1 leaves no pairs
-            pairs.reshape(len(gens), 2 * layers, -1, 2),
-        )
+        runs = [_draw_global(num_qubits, layers, source.gen, len(list(run)))
+                for source, run in groupby(sources)]
+        return Draws(global_scheme(layers), *(np.concatenate(part) for part in zip(*runs)))
     high = 2 if scheme.kind == "classical" else 6
-    return Draws(scheme, np.array([gen.integers(0, high, size=num_qubits) for gen in gens],
-                                  dtype=np.intp))
+    return Draws(scheme, np.array([source.gen.integers(0, high, size=num_qubits)
+                                   for source in sources], dtype=np.intp))
 
 
 def next_stimulus(

@@ -6,15 +6,16 @@ import threading
 import numpy as np
 import pytest
 
-from stimcheck import kernels
+from stimcheck import kernels, simulator
 from stimcheck.circuit import Circuit, Gate, GateKind
-from stimcheck.library import qft, random_circuit
+from stimcheck.library import bundled_corpus, qft, random_circuit
 from stimcheck.oracle import build_unitary, gate_unitary
 from stimcheck.simulator import (
     apply_gate,
     basis_state,
     compile_ops,
     fidelity,
+    run_ops,
     simulate,
     zero_state,
 )
@@ -271,6 +272,47 @@ def test_cancelled_cnot_pairs_match_gate_by_gate_and_oracle(n):
 def test_qft_compiles_to_under_half_as_many_ops_as_gates():
     circuit = qft(16)
     assert len(compile_ops(circuit)) < circuit.gate_count / 2
+
+
+def is_identity_op(op) -> bool:
+    return op[2:] == (1, 0, 0, 1)
+
+
+# Circuits whose pending diagonals multiply out to the exact identity: a
+# QFT's u1(-t/2).u1(t/2) after a cancelled CX pair, and X.X around a CNOT.
+IDENTITY_CIRCUITS = [*bundled_corpus(), *(qft(n) for n in (2, 5, 16)),
+                     Circuit(3, (Gate(GateKind.X, 0), Gate(GateKind.X, 2, controls=(1,)),
+                                 Gate(GateKind.X, 0), Gate(GateKind.H, 2)))]
+
+
+@pytest.mark.parametrize("circuit", IDENTITY_CIRCUITS, ids=lambda c: c.name or "x-x")
+def test_no_compiled_op_is_the_identity(circuit):
+    assert not any(is_identity_op(op) for op in compile_ops(circuit))
+
+
+def test_dropped_identity_ops_leave_every_state_bitwise_equal(monkeypatch):
+    dropped = 0
+    for k, circuit in enumerate(IDENTITY_CIRCUITS):
+        n = circuit.num_qubits
+        ops = compile_ops(circuit)
+        with monkeypatch.context() as patch:
+            # an identity that no op equals keeps every op, as before the filter
+            patch.setattr(simulator, "_IDENTITY", None)
+            kept = compile_ops(circuit)
+        assert [op for op in kept if not is_identity_op(op)] == list(ops)
+        dropped += len(kept) - len(ops)
+        rng = np.random.default_rng(k)
+        block = rng.standard_normal((3, 1 << n)) + 1j * rng.standard_normal((3, 1 << n))
+        without, with_identities = block.copy(), block.copy()
+        run_ops(without, n, ops)
+        run_ops(with_identities, n, kept)
+        np.testing.assert_array_equal(without, with_identities, err_msg=circuit.name)
+    assert dropped > 0
+
+
+def test_qft16_compiles_to_178_ops():
+    # 280 before its 102 exact identities were dropped
+    assert len(compile_ops(qft(16))) == 178
 
 
 def test_simulate_leaves_initial_unmutated():

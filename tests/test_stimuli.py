@@ -9,9 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stimcheck import clifford
+from stimcheck import clifford, stimuli
 from stimcheck.circuit import Circuit, Gate, GateKind, base_matrix
-from stimcheck.clifford import WordForm, write_state
+from stimcheck.clifford import WordForm, write_states
 from stimcheck.oracle import build_unitary
 from stimcheck.qasm import emit_qasm
 from stimcheck.simulator import simulate, zero_state
@@ -374,6 +374,99 @@ def test_global_draws_are_golden(n, seed, words, pairs):
     assert [[tuple(pair) for pair in rnd] for rnd in draws.pairs[0].tolist()] == pairs
 
 
+def reference_global_draws(n: int, layers: int, gen: np.random.Generator):
+    """One global stimulus's draws as the generator calls that define them,
+    per sub-round: n uniform words, a uniform permutation matched in
+    consecutive pairs, and a fair coin per pair for its orientation. `draw`
+    must give these values, and leave `gen` where these calls leave it."""
+    words, pairs = [], []
+    for _ in range(2 * layers):
+        words.append(gen.integers(0, 24, size=n).tolist())
+        order = gen.permutation(n).tolist()
+        coins = gen.random(n // 2).tolist()
+        pairs.append([(b, a) if coin < 0.5 else (a, b)
+                      for a, b, coin in zip(order[::2], order[1::2], coins)])
+    return words, pairs
+
+
+def source_pattern(pattern: str, rows: int, seed: int) -> list[RandomSource]:
+    """`rows` sources: one shared source, a source per row, or two sources
+    interleaved as a, a, b, a, a, b, ..."""
+    if pattern == "shared":
+        return [RandomSource(seed)] * rows
+    if pattern == "separate":
+        return [RandomSource(seed, row) for row in range(rows)]
+    a, b = RandomSource(seed, 0), RandomSource(seed, 1)
+    return [(a, a, b, a)[row % 4] for row in range(rows)]
+
+
+def buffer_half(source: RandomSource, value: int) -> None:
+    """Give `source`'s generator a buffered 32-bit half, as a 32-bit draw
+    that took the low half of an output leaves it."""
+    state = source.gen.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, value
+    source.gen.bit_generator.state = state
+
+
+def assert_draws_equal_the_generator_calls(n: int, layers, sources) -> None:
+    """`draw` from `sources` against the reference calls on copies of them:
+    equal rows, and every generator left in the same state, its 32-bit
+    buffer included, with the same next `random()` value."""
+    copies = {}
+    for source in sources:
+        if id(source) not in copies:
+            copy = RandomSource(source.seed, *source.stream)
+            copy.gen.bit_generator.state = source.gen.bit_generator.state
+            copies[id(source)] = copy
+    draws = draw(global_scheme(layers), n, sources)
+    for row, source in enumerate(sources):
+        words, pairs = reference_global_draws(n, layers or n, copies[id(source)].gen)
+        assert draws.choices[row].tolist() == words, f"row {row}"
+        assert [[tuple(pair) for pair in rnd] for rnd in draws.pairs[row].tolist()] == pairs
+    for source in {id(source): source for source in sources}.values():
+        expected = copies[id(source)].gen
+        assert source.gen.bit_generator.state == expected.bit_generator.state
+        assert source.gen.random() == expected.random()
+
+
+RAW_DRAW_QUBITS = [1, 2, 3, 4, 5, 7, 8, 16, 17]
+
+
+@pytest.mark.parametrize("n", RAW_DRAW_QUBITS)
+@pytest.mark.parametrize("layers", [1, 2, None], ids=["global-1", "global-2", "global-default"])
+def test_raw_draws_equal_the_generator_calls(n, layers):
+    for rows in (1, 4, 11):
+        for pattern in ("shared", "separate", "interleaved"):
+            sources = source_pattern(pattern, rows, 330 + n)
+            assert_draws_equal_the_generator_calls(n, layers, sources)
+
+
+@pytest.mark.parametrize("n", RAW_DRAW_QUBITS)
+def test_raw_draws_start_from_a_buffered_half(n):
+    # 0 is one of the 16 halves that the bounded word draw rejects, so the
+    # first word is drawn again; the others are taken as they come
+    for value in (0, 1 << 31, (1 << 32) - 1):
+        for pattern in ("shared", "interleaved"):
+            sources = source_pattern(pattern, 4, 340 + n)
+            for source in sources:
+                buffer_half(source, value)
+            assert_draws_equal_the_generator_calls(n, 2, sources)
+    # a stale half left by a consumed buffer stays in the state
+    source = RandomSource(341, n)
+    source.gen.integers(0, 5, size=2, dtype=np.uint32)
+    assert source.gen.bit_generator.state["has_uint32"] == 0
+    assert_draws_equal_the_generator_calls(n, 2, [source] * 3)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 17])
+def test_raw_draws_refill_one_output_at_a_time(n, monkeypatch):
+    monkeypatch.setattr(stimuli, "_RAW_CHUNK", 1)
+    for pattern in ("shared", "interleaved"):
+        sources = source_pattern(pattern, 4, 350 + n)
+        buffer_half(sources[-1], 0)
+        assert_draws_equal_the_generator_calls(n, None, sources)
+
+
 def assert_global_rows_equal_simulated_preps(n: int, layers: int | None, rows: int) -> None:
     # every row goes through its own CH-form; its global phase must match too
     for seed in range(8 if n <= 8 else 3):
@@ -401,7 +494,7 @@ def test_every_row_of_a_global_block_equals_its_simulated_prep(n, layers):
     assert_global_rows_equal_simulated_preps(n, layers, rows=4)
 
 
-# The 24 word forms, then X, H and S on their own: `write_state`'s table
+# The 24 word forms, then X, H and S on their own: `write_states`'s table
 # for the circuits below, whose rounds index it.
 TEST_FORMS = (*_WORD_FORMS, WordForm(1, 0, 0, 0, 0), WordForm(0, 0, 1, 0, 0),
               WordForm(0, 1, 0, 0, 0))
@@ -412,7 +505,7 @@ IDENTITY_WORD = CLIFFORD_1Q_WORDS.index(())
 def random_clifford_circuit(n: int, length: int, gen: np.random.Generator):
     """X, H, S and CX gates and whole CLIFFORD_1Q_WORDS words in any order,
     each of the five equally likely (no CX at n = 1): the circuit, and the
-    same steps as `write_state` rounds over TEST_FORMS, one round per gate
+    same steps as `write_states` rounds over TEST_FORMS, one round per gate
     or word."""
     gates, rounds = [], []
     for _ in range(length):
@@ -436,10 +529,14 @@ def random_clifford_circuit(n: int, length: int, gen: np.random.Generator):
     return Circuit(n, tuple(gates)), rounds
 
 
-def ch_form_state(n: int, rounds) -> np.ndarray:
-    out = np.empty(1 << n, dtype=complex)
-    write_state(n, TEST_FORMS, rounds, out)
+def ch_form_states(n: int, rows) -> np.ndarray:
+    out = np.empty((len(rows), 1 << n), dtype=complex)
+    write_states(n, TEST_FORMS, rows, out)
     return out
+
+
+def ch_form_state(n: int, rounds) -> np.ndarray:
+    return ch_form_states(n, [rounds])[0]
 
 
 def random_clifford_circuits():
@@ -456,15 +553,30 @@ def test_ch_form_matches_the_oracle_on_random_clifford_circuits():
                                    rtol=0, atol=1e-12, err_msg=emit_qasm(circuit))
 
 
+def circuits_by_qubit_count(circuits):
+    by_n: dict[int, list] = {}
+    for circuit, rounds in circuits:
+        by_n.setdefault(circuit.num_qubits, []).append(rounds)
+    return by_n
+
+
+def test_a_block_of_ch_forms_equals_its_rows_written_one_at_a_time():
+    # a block of rows takes its tables as (rows,) columns, one row as ints
+    for n, rows in circuits_by_qubit_count(random_clifford_circuits()).items():
+        np.testing.assert_array_equal(ch_form_states(n, rows),
+                                      [ch_form_state(n, rounds) for rounds in rows])
+
+
 def test_every_branch_of_the_h_update_is_hit():
     # Every line of the H update and of the decomposition it ends with runs,
     # so each branch's body runs: t == u, the CX and CZ column operations
     # when t and u differ off v, the CX ones when they differ on v only,
     # each case of _h_decompose and the right S it may ask for. Every line
-    # of write_state runs too: in its rounds X, S^a with a odd and a = 2,
-    # S^c with c odd and c = 2, the phase k and the CNOT update.
+    # of write_states and of _evolve runs too: in its rounds X, S^a with a
+    # odd and a = 2, S^c with c odd and c = 2, the phase k and the CNOT
+    # update, and the write of one row and of a block of rows.
     codes = {clifford._h_update.__code__, clifford._h_decompose.__code__,
-             write_state.__code__}
+             clifford._evolve.__code__, write_states.__code__}
     ran = set()
 
     def trace_lines(frame, event, arg):
@@ -482,11 +594,14 @@ def test_every_branch_of_the_h_update_is_hit():
     try:
         for circuit, rounds in circuits:
             ch_form_state(circuit.num_qubits, rounds)
+        for n, rows in circuits_by_qubit_count(circuits).items():
+            ch_form_states(n, rows)
     finally:
         sys.settrace(previous)
     lines = {(code.co_name, line) for code in codes for _, _, line in code.co_lines()
              if line is not None and line != code.co_firstlineno}
-    assert {name for name, _ in lines} == {"_h_update", "_h_decompose", "write_state"}
+    assert {name for name, _ in lines} == {"_h_update", "_h_decompose", "_evolve",
+                                           "write_states"}
     assert lines - ran == set()
 
 
