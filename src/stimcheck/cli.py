@@ -32,7 +32,7 @@ from .oracle import (
     ent_fidelity_via_omega,
     mean_local_fidelity,
 )
-from .qasm import QasmError, emit_qasm, load_circuit
+from .qasm import QasmError, emit_qasm, load_circuit, read_text
 from .stimuli import SCHEME_KINDS, RandomSource, Scheme
 
 EXIT_OK = 0
@@ -81,17 +81,11 @@ _CONFIG_KEYS = ("circuit_paths", "schemes", "error_options", "layers", "error_se
 
 
 def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
-    """Each key's value and line number. Line ends are read as in text
-    mode; a byte that is not UTF-8 is reported at its line and column."""
-    # CR and LF bytes occur in UTF-8 only as those characters
-    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    """Each key's value and line number, from the text `read_text` reads."""
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = data[:exc.start].decode("utf-8")
-        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
-        raise ValueError(f"{path}:{line}:{column}: byte 0x{data[exc.start]:02x} "
-                         f"is not UTF-8 ({exc.reason})") from None
+        text = read_text(path)
+    except QasmError as exc:
+        raise ValueError(str(exc)) from None
     values: dict[str, tuple[str, int]] = {}
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

@@ -37,7 +37,7 @@ class ParseDiagnostic:
     line: int
     column: int
     message: str
-    path: str | None = None  # the file, for a source read by `load_circuit`
+    path: str | None = None  # the file, for a source read from one
 
     def __str__(self) -> str:
         where = "" if self.path is None else f"{self.path}:"
@@ -334,21 +334,29 @@ def parse_qasm(source: str) -> Circuit:
     return _Parser(source, pos).parse_gates(reg_name, num_qubits, gates)
 
 
-def load_circuit(path: str | Path) -> Circuit:
-    """Parse a UTF-8 QASM file into a circuit named after the file's stem.
-    Line ends are read as in text mode. A parse error, or a byte that is not
-    UTF-8 (at the line and column of the text before it), raises QasmError
-    with the file's path in its diagnostic."""
-    path = Path(path)
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, its line ends read as in text mode. A byte
+    that is not UTF-8 raises QasmError at the line and column of the text
+    before it, with `path` in its diagnostic."""
     # CR and LF bytes occur in UTF-8 only as those characters
-    data = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        circuit = parse_qasm(data.decode("utf-8"))
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = data[:exc.start].decode("utf-8")
-        diagnostic = _diagnostic(
-            before, len(before),
-            f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})").diagnostic
+        error = _diagnostic(before, len(before),
+                            f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})")
+    raise QasmError(replace(error.diagnostic, path=str(path)))
+
+
+def load_circuit(path: str | Path) -> Circuit:
+    """Parse a UTF-8 QASM file, read by `read_text`, into a circuit named
+    after the file's stem. A parse error raises QasmError with the file's
+    path in its diagnostic."""
+    path = Path(path)
+    text = read_text(path)
+    try:
+        circuit = parse_qasm(text)
     except QasmError as exc:
         diagnostic = exc.diagnostic
     else:

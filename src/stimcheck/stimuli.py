@@ -16,11 +16,10 @@ global, each qubit's Clifford word index and the CNOT pairs of every
 sub-round. It gives the same values, and leaves each generator in the same
 end state, as drawing each stimulus on its own, so a stimulus does not
 depend on the block it is drawn in. Classical and local rows come from one
-generator call each; the global rows drawn in turn from one source come
-from one buffer of raw PCG64 outputs, computed with numpy's own
-algorithms: Lemire's bounded integers for the words, a Fisher-Yates pass
-with masked rejection for the CNOT matching, and a comparison of the raw
-output with 2^63 for each coin. `Draws.prepare` builds the prepared
+`integers` call each; the global rows drawn in turn from one source come
+from one `random` call, a fixed count of doubles per sub-round that give
+its words, its uniform CNOT matching and each CNOT's orientation, as
+`_draw_global` defines. `Draws.prepare` builds the prepared
 states directly as a (B, 2^n) block: one amplitude per row for classical,
 and an outer product of single-qubit states for local. A global row is a
 stabilizer state. One call of `clifford.write_states` takes each row's
@@ -48,6 +47,9 @@ from .clifford import WordForm, write_states
 from .simulator import simulate, zero_state
 
 SCHEME_KINDS = ("classical", "local", "global")
+# The most layers a global scheme takes: about 40 times the default of one
+# per qubit at simulator.MAX_QUBITS, and a 16-row draw at n = 4 of about 2.6 MB
+MAX_LAYERS = 1024
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ class Scheme:
                 raise ValueError(f"layers only apply to the global scheme, not {self.kind!r}")
             if self.layers < 1:
                 raise ValueError(f"layer count must be positive, got {self.layers}")
+            if self.layers > MAX_LAYERS:
+                raise ValueError(f"layer count must be at most {MAX_LAYERS}, got {self.layers}")
 
 
 CLASSICAL = Scheme("classical")
@@ -215,111 +219,30 @@ def local_prep(choice) -> Circuit:
     return Circuit(len(choice), gates, name="local-stimulus")
 
 
-# A refill draws as many raw outputs as the sub-rounds still to come use on
-# average at most, 2n each (n/2 for the words, at most n - 1 for the
-# permutation and n/2 for the coins), but no more than this
-_RAW_CHUNK = 1 << 12
-# numpy's Lemire draw of a word below 24 from a 32-bit v rejects v while the
-# low word of 24 v is below 2^32 mod 24
-_WORD_THRESHOLD = (1 << 32) % 24
-_LOW_WORD = (1 << 32) - 1
-_SPLIT = np.array([0, 32], dtype=np.uint64)
-
-
-def _refill(halves: list[int], bits, outputs: int) -> None:
-    """Append to `halves` the 32-bit halves, low half first, of
-    min(outputs, _RAW_CHUNK) raw outputs of `bits`, at least one."""
-    raw = bits.random_raw(max(1, min(outputs, _RAW_CHUNK)))
-    halves += (raw[:, None] >> _SPLIT).astype(np.uint32).ravel().tolist()
-
-
 def _draw_global(num_qubits: int, layers: int, gen: np.random.Generator, rows: int):
     """The draws of `rows` consecutive global stimuli from `gen`, as
     `Draws.choices` and `Draws.pairs` hold them: every sub-round's Clifford
-    word index per qubit, and its CNOT (control, target) qubits. Each
-    sub-round draws uniform words, a uniform permutation matched in
-    consecutive pairs, and a fair coin for each orientation.
+    word index per qubit, and its CNOT (control, target) qubits.
 
     Each layer runs two sub-rounds. Two per layer were chosen empirically:
     with one sub-round the ensemble average of the outcome fidelity still
     deviates from the average gate fidelity by ~0.08 at l = n = 4, with two
     it agrees within sampling error.
 
-    The values, and the state `gen` is left in, are those of the generator
-    calls `gen.integers(0, 24, size=n)`, `gen.permutation(n)` and
-    `gen.random(n // 2)` per sub-round, computed from raw PCG64 outputs
-    with numpy's own algorithms:
-
-    - a 32-bit draw is the buffered high half of the last output if there
-      is one, else the low half of the next output, whose high half is then
-      buffered;
-    - a word is Lemire's bounded integer, (24 v) >> 32 of a 32-bit v,
-      drawn again while the low word of 24 v is below 2^32 mod 24;
-    - the permutation is a Fisher-Yates pass over 0..n-1: for i from n - 1
-      down to 1, swap i with j, a 32-bit draw masked to the bits of i and
-      drawn again while above i;
-    - a coin takes a whole output and leaves the buffer alone; it is below
-      0.5 exactly when the output is below 2^63.
-
-    The outputs come from `random_raw` in chunks. Afterwards the generator
-    is set back to its start state, advanced by the outputs used, and given
-    back its 32-bit buffer (`has_uint32`, `uinteger`)."""
-    n = num_qubits
-    bits = gen.bit_generator
-    start = bits.state
-    has, buffered = start["has_uint32"], start["uinteger"]
-    masks = [(1 << i.bit_length()) - 1 for i in range(n)]
-    coins = n // 2
-    halves: list[int] = []
-    k = 0  # index in `halves` of the low half of the next unused output
-    words: list[int] = []
-    pairs: list[int] = []
-    # A 32-bit draw is written out in both loops below: a call per draw
-    # would cost about as much as the draw itself.
-    for left in range(2 * layers * rows, 0, -1):
-        outputs = 2 * n * left
-        for _ in range(n):
-            while True:
-                if has:
-                    v, has = buffered, False
-                else:
-                    if k == len(halves):
-                        _refill(halves, bits, outputs)
-                    v, buffered, has = halves[k], halves[k + 1], True
-                    k += 2
-                v *= 24
-                if v & _LOW_WORD >= _WORD_THRESHOLD:
-                    break
-            words.append(v >> 32)
-        order = list(range(n))
-        for i in range(n - 1, 0, -1):
-            mask = masks[i]
-            while True:
-                if has:
-                    v, has = buffered, False
-                else:
-                    if k == len(halves):
-                        _refill(halves, bits, outputs)
-                    v, buffered, has = halves[k], halves[k + 1], True
-                    k += 2
-                v &= mask
-                if v <= i:
-                    break
-            order[i], order[v] = order[v], order[i]
-        while len(halves) < k + 2 * coins:
-            _refill(halves, bits, outputs)
-        for a, b, high in zip(order[::2], order[1::2], halves[k + 1:k + 2 * coins:2]):
-            pairs += (b, a) if high < 1 << 31 else (a, b)
-        k += 2 * coins
-    bits.state = start
-    bits.advance(k // 2)
-    end = bits.state
-    end["has_uint32"], end["uinteger"] = int(has), buffered
-    bits.state = end
-    shape = (rows, 2 * layers)
-    return (np.array(words, dtype=np.intp).reshape(*shape, n),
-            # (rows, sub-rounds, n // 2, 2), also when n = 1 leaves no pairs
-            np.array(pairs, dtype=np.intp).reshape(*shape, coins, 2))
+    A sub-round is defined by 2n + n // 2 uniform doubles u, the next ones
+    of `gen.random`: qubit q's word is floor(24 u[q]); the stable argsort
+    of u[n:2n] is a uniform permutation, matched in consecutive pairs
+    (a, b); and pair i's CNOT is (b, a) if u[2n + i] < 0.5, else (a, b).
+    `gen.random` takes one whole 64-bit output per double and leaves the
+    32-bit buffer alone, so one call for all rows gives the values, and the
+    end state, of one call per sub-round."""
+    n, coins = num_qubits, num_qubits // 2
+    u = gen.random((rows, 2 * layers, 2 * n + coins))
+    words = (24 * u[..., :n]).astype(np.intp)
+    order = u[..., n:2 * n].argsort(axis=-1, kind="stable")
+    # (rows, sub-rounds, n // 2, 2), also when n = 1 leaves no pairs
+    matched = order[..., :2 * coins].reshape(rows, 2 * layers, coins, 2)
+    return words, np.where(u[..., 2 * n:, None] < 0.5, matched[..., ::-1], matched)
 
 
 @dataclass(frozen=True)
@@ -408,8 +331,8 @@ def draw(scheme: Scheme, num_qubits: int, sources: Sequence[RandomSource]) -> Dr
     ones `next_stimulus` would draw from it one at a time.
 
     Each run of consecutive identical sources draws its global rows in one
-    `_draw_global` call, from raw PCG64 outputs: the same values and end
-    state as the generator calls of each stimulus on its own."""
+    `_draw_global` call: the same values and end state as drawing each
+    stimulus on its own."""
     if scheme.kind == "global":
         layers = scheme.layers if scheme.layers is not None else num_qubits
         runs = [_draw_global(num_qubits, layers, source.gen, len(list(run)))

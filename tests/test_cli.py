@@ -11,6 +11,7 @@ from stimcheck.cli import EXIT_DETECTED, EXIT_ERROR, EXIT_OK, main
 from stimcheck.equivalence import EXACT_LIMIT
 from stimcheck.library import ghz, qft
 from stimcheck.qasm import emit_qasm, parse_qasm
+from stimcheck.stimuli import MAX_LAYERS
 
 
 @pytest.fixture
@@ -124,7 +125,9 @@ class TestVerify:
     @pytest.mark.parametrize("flags,message", [
         (["--scheme", "local", "--layers", "3"], "layers only apply to the global scheme"),
         (["--scheme", "global", "--layers", "0"], "layer count must be positive"),
-    ], ids=["local-layers", "global-zero-layers"])
+        (["--scheme", "global", "--layers", "1000000000"],
+         f"layer count must be at most {MAX_LAYERS}, got 1000000000"),
+    ], ids=["local-layers", "global-zero-layers", "global-layers-above-the-bound"])
     def test_invalid_layers_exit_two(self, ghz_file, capsys, flags, message):
         assert main(["verify", ghz_file, ghz_file, *flags]) == EXIT_ERROR
         err = capsys.readouterr().err
@@ -178,6 +181,13 @@ class TestBench:
         with open(out, newline="") as fh:
             records = list(csv.reader(fh))
         assert [record[2] for record in records[1:]] == ["classical", "local", "global"]
+
+    def test_layers_above_the_bound_exit_two(self, ghz_file, capsys):
+        assert main(["bench", ghz_file, "--layers", "1000000000"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: layers: layer count must be at most {MAX_LAYERS}, got 1000000000\n")
+        assert captured.out == ""
 
     def test_unwritable_out_fails_before_any_verify(self, ghz_file, tmp_path, capsys,
                                                     monkeypatch):

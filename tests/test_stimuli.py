@@ -5,11 +5,12 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from stimcheck import clifford, stimuli
+from stimcheck import clifford
 from stimcheck.circuit import Circuit, Gate, GateKind, base_matrix
 from stimcheck.clifford import WordForm, write_states
 from stimcheck.oracle import build_unitary
@@ -20,6 +21,7 @@ from stimcheck.stimuli import (
     CLIFFORD_1Q_WORDS,
     LOCAL,
     LOCAL_PREP_WORDS,
+    MAX_LAYERS,
     _WORD_FORMS,
     Draws,
     RandomSource,
@@ -63,8 +65,10 @@ class TestScheme:
             Scheme("local", layers=2)
 
     def test_nonpositive_layers_rejected(self):
-        with pytest.raises(ValueError):
-            global_scheme(0)
+        for layers in (0, MAX_LAYERS + 1):
+            with pytest.raises(ValueError):
+                global_scheme(layers)
+        assert global_scheme(MAX_LAYERS).layers == MAX_LAYERS
 
 
 class TestRandomSource:
@@ -349,20 +353,19 @@ def test_importing_the_package_builds_no_gate_table():
 
 
 # One layer (two sub-rounds) of global draws from RandomSource(2024, seed), as
-# recorded from one scalar generator call per word and per coin: the words of
-# each sub-round, then its (control, target) pairs. A numpy whose PCG64
-# streams or bounded-integer draws differ changes every global stimulus,
-# witness and seed tag, and fails here first.
+# recorded from `reference_global_draws`: the words of each sub-round, then
+# its (control, target) pairs. A numpy whose PCG64 streams or doubles differ
+# changes every global stimulus, witness and seed tag, and fails here first.
 GOLDEN_GLOBAL_DRAWS = [
-    (1, 11, [[23], [12]], [[], []]),
-    (4, 12, [[20, 15, 10, 4], [12, 14, 7, 21]],
-     [[(0, 2), (1, 3)], [(2, 0), (1, 3)]]),
-    (7, 13, [[14, 9, 0, 10, 22, 12, 23], [17, 2, 10, 4, 4, 1, 18]],
-     [[(2, 6), (0, 3), (5, 4)], [(5, 6), (0, 3), (1, 2)]]),
-    (16, 14, [[3, 8, 20, 7, 0, 18, 7, 18, 9, 9, 4, 18, 12, 15, 1, 11],
-              [10, 0, 15, 7, 22, 3, 8, 9, 3, 23, 7, 8, 22, 0, 0, 1]],
-     [[(1, 14), (2, 5), (10, 3), (12, 8), (6, 13), (4, 0), (11, 15), (9, 7)],
-      [(7, 0), (1, 12), (9, 5), (4, 13), (15, 10), (14, 3), (8, 2), (11, 6)]]),
+    (1, 11, [[12], [18]], [[], []]),
+    (4, 12, [[15, 4, 17, 12], [10, 0, 17, 2]],
+     [[(2, 0), (3, 1)], [(3, 1), (0, 2)]]),
+    (7, 13, [[9, 10, 12, 7, 21, 9, 6], [13, 18, 20, 6, 3, 0, 3]],
+     [[(6, 4), (3, 5), (2, 1)], [(0, 5), (4, 1), (6, 2)]]),
+    (16, 14, [[8, 7, 18, 18, 9, 18, 15, 11, 11, 8, 1, 7, 15, 7, 22, 3],
+              [11, 22, 21, 11, 0, 18, 23, 4, 23, 5, 22, 12, 7, 16, 18, 2]],
+     [[(2, 8), (14, 7), (10, 15), (5, 9), (13, 0), (1, 11), (3, 6), (4, 12)],
+      [(0, 7), (3, 11), (1, 15), (6, 5), (4, 9), (8, 13), (10, 12), (14, 2)]]),
 ]
 
 
@@ -375,17 +378,19 @@ def test_global_draws_are_golden(n, seed, words, pairs):
 
 
 def reference_global_draws(n: int, layers: int, gen: np.random.Generator):
-    """One global stimulus's draws as the generator calls that define them,
-    per sub-round: n uniform words, a uniform permutation matched in
-    consecutive pairs, and a fair coin per pair for its orientation. `draw`
-    must give these values, and leave `gen` where these calls leave it."""
+    """One global stimulus's draws as they are defined, one sub-round at a
+    time from 2n + n // 2 doubles u of `gen.random`: n words floor(24 u[q]),
+    the qubits sorted by u[n + q] (ties in qubit order) and matched in
+    consecutive pairs (a, b), and pair i taken as (b, a) if u[2n + i] < 0.5,
+    else (a, b). `draw` must give these values, and leave `gen` where these
+    calls leave it."""
     words, pairs = [], []
     for _ in range(2 * layers):
-        words.append(gen.integers(0, 24, size=n).tolist())
-        order = gen.permutation(n).tolist()
-        coins = gen.random(n // 2).tolist()
+        u = gen.random(2 * n + n // 2).tolist()
+        words.append([math.floor(24 * x) for x in u[:n]])
+        order = sorted(range(n), key=lambda q: u[n + q])
         pairs.append([(b, a) if coin < 0.5 else (a, b)
-                      for a, b, coin in zip(order[::2], order[1::2], coins)])
+                      for a, b, coin in zip(order[::2], order[1::2], u[2 * n:])])
     return words, pairs
 
 
@@ -443,14 +448,17 @@ def test_raw_draws_equal_the_generator_calls(n, layers):
 
 @pytest.mark.parametrize("n", RAW_DRAW_QUBITS)
 def test_raw_draws_start_from_a_buffered_half(n):
-    # 0 is one of the 16 halves that the bounded word draw rejects, so the
-    # first word is drawn again; the others are taken as they come
+    # the draws take whole 64-bit outputs, so a buffered 32-bit half, as a
+    # 32-bit draw leaves it, stays in the generator for the next such draw
     for value in (0, 1 << 31, (1 << 32) - 1):
         for pattern in ("shared", "interleaved"):
             sources = source_pattern(pattern, 4, 340 + n)
             for source in sources:
                 buffer_half(source, value)
             assert_draws_equal_the_generator_calls(n, 2, sources)
+            for source in sources:
+                state = source.gen.bit_generator.state
+                assert (state["has_uint32"], state["uinteger"]) == (1, value)
     # a stale half left by a consumed buffer stays in the state
     source = RandomSource(341, n)
     source.gen.integers(0, 5, size=2, dtype=np.uint32)
@@ -458,13 +466,35 @@ def test_raw_draws_start_from_a_buffered_half(n):
     assert_draws_equal_the_generator_calls(n, 2, [source] * 3)
 
 
-@pytest.mark.parametrize("n", [1, 4, 7, 17])
-def test_raw_draws_refill_one_output_at_a_time(n, monkeypatch):
-    monkeypatch.setattr(stimuli, "_RAW_CHUNK", 1)
-    for pattern in ("shared", "interleaved"):
-        sources = source_pattern(pattern, 4, 350 + n)
-        buffer_half(sources[-1], 0)
-        assert_draws_equal_the_generator_calls(n, None, sources)
+# Each class's count over SUB_ROUNDS draws at n = 4 must lie within
+# BINOMIAL_SIGMAS standard deviations of its mean: a false alarm in about
+# 6e-7 per count, for a seeded draw that does not change between runs.
+SUB_ROUNDS = 20_000
+BINOMIAL_SIGMAS = 5
+
+
+def assert_binomial(counts, trials: int, p: float, what: str) -> None:
+    mean, sigma = trials * p, math.sqrt(trials * p * (1 - p))
+    for key, count in counts.items():
+        assert abs(count - mean) <= BINOMIAL_SIGMAS * sigma, (what, key, count, mean)
+
+
+def test_global_draws_are_uniform_and_independent_at_n4():
+    draws = draw(global_scheme(1), 4, [RandomSource(360)] * (SUB_ROUNDS // 2))
+    words = draws.choices.reshape(SUB_ROUNDS, 4)
+    pairs = draws.pairs.reshape(SUB_ROUNDS, 2, 2).tolist()
+    # each of the 24 words has p = 1/24 on each of 4 * SUB_ROUNDS qubits
+    counts = dict(enumerate(np.bincount(words.ravel(), minlength=24)))
+    assert_binomial(counts, 4 * SUB_ROUNDS, 1 / 24, "word")
+    # 3 matchings of 4 qubits times 2 x 2 orientations, each p = 1/12
+    cnots = Counter(frozenset(map(tuple, rnd)) for rnd in pairs)
+    assert len(cnots) == 12
+    assert_binomial(cnots, SUB_ROUNDS, 1 / 12, "cnots")
+    # the matching does not depend on the words: qubit 0's word and its
+    # partner's lie on the same side of 12 with p = 1/2
+    partner = [next(b if a == 0 else a for a, b in rnd if 0 in (a, b)) for rnd in pairs]
+    same = np.sum((words[:, 0] < 12) == (words[np.arange(SUB_ROUNDS), partner] < 12))
+    assert_binomial({"same side": same}, SUB_ROUNDS, 1 / 2, "partner word")
 
 
 def assert_global_rows_equal_simulated_preps(n: int, layers: int | None, rows: int) -> None:
