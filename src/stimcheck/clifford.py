@@ -24,9 +24,9 @@ after that swap, applied to |s>, gives
     beta = parity((M_p & ~v & s) ^ (F_p & v & (s ^ M_p))),
 
 so s ^= (F_p & ~v) ^ (M_p & v) and omega += 2 gamma_p + 4 beta, both from
-the old s. It is the X half of the H update below. A left H turns the state
-into a sum of two basis states under U_C U_H, which right CX, CZ and S
-(column operations) fold back into one.
+the old s. It is the X half of the H update in `_evolve`. A left H turns
+the state into a sum of two basis states under U_C U_H, which right CX, CZ
+and S (column operations) fold back into one.
 
 A global stimulus is built in sub-rounds: one of the 24 single-qubit
 Cliffords on every qubit, then CNOTs. Each Clifford is written once as
@@ -37,8 +37,9 @@ of rows. For each row, `_evolve` starts the form at |0...0> and applies
 every sub-round, its words and then its CNOTs, holding the form in local
 variables throughout. Then the 2^n amplitudes of every row are written in
 one pass, so that its numpy calls are paid once per block, not once per
-row. An H goes through `_h_update`, a function of the form's ints, which
-is the only place the H update is written.
+row. The H update is written once, inside `_evolve`'s word loop, on the
+form's local ints; it ends with one of the eight cases of `_h_decompose`,
+read from two tables built from that function at import.
 
 Each bit matrix is a single Python int with row p in bits p*n .. p*n + n - 1,
 so a row or a column operation is a few big-int operations; gamma is two
@@ -59,14 +60,6 @@ _R = math.sqrt(0.5)
 _EIGHTH_ROOTS = (1, _R + _R * 1j, 1j, -_R + _R * 1j, -1, -_R - _R * 1j, -1j, _R - _R * 1j)
 _POWERS_OF_I = (1, 1j, -1, -1j)
 _TAKE_CHUNK = 1 << 13
-
-
-def _bits(x: int):
-    """Indices of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 class WordForm(NamedTuple):
@@ -90,78 +83,11 @@ def _h_decompose(h: int, delta: int) -> tuple[int, int, int, int]:
     return (1, 1, 1, 1) if delta == 1 else (1, 1, 0, -1)
 
 
-def _h_update(n: int, row: int, col: int, F: int, G: int, M: int, g0: int, g1: int,
-              v: int, s: int, omega: int, p: int):
-    """Left H_p on the form (F, G, M, g0, g1, v, s, omega), by Prop. 4 of
-    Bravyi et al.; returns the form in the same order, omega not reduced.
-
-    H_p = (X_p + Z_p) / sqrt(2), and pushing U_C^-1 X_p U_C and
-    U_C^-1 Z_p U_C through U_H onto |s> gives
-    H_p |phi> = omega (-1)^alpha U_C U_H (|t> + i^delta |u>) / sqrt(2).
-    """
-    shift = p * n
-    g, f, m = (G >> shift) & row, (F >> shift) & row, (M >> shift) & row
-    nv = v ^ row
-    t = s ^ (g & v)
-    u = s ^ (f & nv) ^ (m & v)
-    alpha = (g & nv & s).bit_count() & 1
-    beta = ((m & nv & s) ^ (f & v & (m ^ s))).bit_count() & 1
-    delta = (((g0 >> shift) & 1) + 2 * (((g1 >> shift) & 1) + alpha + beta)) & 3
-    omega += 4 * alpha
-    if t == u:
-        # The two Paulis anticommute, so delta is odd and
-        # (1 + i^delta) / sqrt(2) is exp(+-i pi / 4).
-        return F, G, M, g0, g1, v, t, omega + (1 if delta == 1 else -1)
-    # Right CX and CZ on qubit q leave |t> and |u> differing in bit q only.
-    # These gates commute, so their column operations are done together.
-    differ = t ^ u
-    set0, set1 = differ & nv, differ & v
-    if set0:
-        # U_C <- U_C prod_i CX(q -> i) prod_j CZ(q, j), i over the rest of
-        # set0, j over set1
-        q = (set0 & -set0).bit_length() - 1
-        cx_targets = set0 ^ (1 << q)
-        f_q = (F >> q) & col
-        g_sum = m_sum = f_sum = 0
-        for i in _bits(cx_targets):
-            g_sum ^= G >> i
-            m_sum ^= M >> i
-        for j in _bits(set1):
-            f_sum ^= F >> j
-        f_sum &= col
-        # CX(q -> i): G[:, q] ^= G[:, i], F[:, i] ^= F[:, q], M[:, q] ^= M[:, i]
-        G ^= (g_sum & col) << q
-        F ^= f_q * cx_targets
-        # CZ(q, j): M[:, q] ^= F[:, j], M[:, j] ^= F[:, q], gamma += 2 F[:, q] F[:, j]
-        M ^= (((m_sum & col) ^ f_sum) << q) ^ (f_q * set1)
-        g1 ^= f_q & f_sum
-    else:
-        # U_C <- U_C prod_i CX(i -> q), i over the rest of set1
-        q = (set1 & -set1).bit_length() - 1
-        controls = set1 ^ (1 << q)
-        f_sum = 0
-        for i in _bits(controls):
-            f_sum ^= F >> i
-        # CX(i -> q): G[:, i] ^= G[:, q], F[:, q] ^= F[:, i], M[:, i] ^= M[:, q]
-        G ^= ((G >> q) & col) * controls
-        F ^= (f_sum & col) << q
-        M ^= ((M >> q) & col) * controls
-    bit = 1 << q
-    if t & bit:
-        # |u + e_q> + i^delta |u> = i^delta (|u> + i^-delta |u + e_q>)
-        y = u
-        omega += 2 * delta
-        delta = -delta & 3
-    else:
-        y = t
-    a, b, c, k = _h_decompose(v & bit, delta)
-    if a:
-        # U_C <- U_C S_q: M[:, q] ^= F[:, q], gamma -= F[:, q] (mod 4)
-        f = (F >> q) & col
-        M ^= f << q
-        g1 ^= f & ~g0
-        g0 ^= f
-    return (F, G, M, g0, g1, v | bit if b else v & ~bit, y | bit if c else y, omega + k)
+# _h_decompose's eight cases, indexed by 4 h + delta, as the H update in
+# `_evolve` reads them: whether it ends with a right S, and the v bit, the
+# s bit and the omega step it ends with.
+_H_RIGHT_S = tuple(_h_decompose(case >> 2, case & 3)[0] for case in range(8))
+_H_ENDS = tuple(_h_decompose(case >> 2, case & 3)[1:] for case in range(8))
 
 
 def _evolve(n: int, forms: Sequence[WordForm],
@@ -180,6 +106,7 @@ def _evolve(n: int, forms: Sequence[WordForm],
     # gamma_p = g0 bit p*n + 2 * g1 bit p*n, the phase is exp(i pi omega / 4)
     F = G = sum(1 << (p * n + p) for p in range(n))
     M = g0 = g1 = v = s = omega = 0
+    right_s, ends = _H_RIGHT_S, _H_ENDS
     for words, cnots in rounds:
         for q, w in enumerate(words):
             x, a, b, c, k = forms[w]
@@ -200,8 +127,87 @@ def _evolve(n: int, forms: Sequence[WordForm],
             if a & 2:
                 g1 ^= bit  # S_q^2 = Z_q: gamma_q -= 2
             if b:
-                F, G, M, g0, g1, v, s, omega = _h_update(
-                    n, row, col, F, G, M, g0, g1, v, s, omega, q)
+                # Left H_q, by Prop. 4 of Bravyi et al.: H_q = (X_q + Z_q) / sqrt(2),
+                # and pushing U_C^-1 X_q U_C and U_C^-1 Z_q U_C through U_H
+                # onto |s> gives
+                # H_q |phi> = omega (-1)^alpha U_C U_H (|t> + i^delta |u>) / sqrt(2).
+                g, f, m = (G >> shift) & row, (F >> shift) & row, (M >> shift) & row
+                nv = v ^ row
+                t = s ^ (g & v)
+                u = s ^ (f & nv) ^ (m & v)
+                alpha = (g & nv & s).bit_count() & 1
+                beta = ((m & nv & s) ^ (f & v & (m ^ s))).bit_count() & 1
+                delta = (((g0 >> shift) & 1) + 2 * (((g1 >> shift) & 1) + alpha + beta)) & 3
+                omega += 4 * alpha
+                if t == u:
+                    # The two Paulis anticommute, so delta is odd and
+                    # (1 + i^delta) / sqrt(2) is exp(+-i pi / 4).
+                    s = t
+                    omega += 1 if delta == 1 else -1
+                else:
+                    # Right CX and CZ on qubit p leave |t> and |u> differing in
+                    # bit p only. These gates commute, so their column
+                    # operations are done together.
+                    differ = t ^ u
+                    set0, set1 = differ & nv, differ & v
+                    if set0:
+                        # U_C <- U_C prod_i CX(p -> i) prod_j CZ(p, j), i over
+                        # the rest of set0, j over set1
+                        p = (set0 & -set0).bit_length() - 1
+                        cx_targets = set0 ^ (1 << p)
+                        f_p = (F >> p) & col
+                        g_sum = m_sum = f_sum = 0
+                        rest = cx_targets
+                        while rest:
+                            i = (rest & -rest).bit_length() - 1
+                            g_sum ^= G >> i
+                            m_sum ^= M >> i
+                            rest &= rest - 1
+                        rest = set1
+                        while rest:
+                            f_sum ^= F >> ((rest & -rest).bit_length() - 1)
+                            rest &= rest - 1
+                        f_sum &= col
+                        # CX(p -> i): G[:, p] ^= G[:, i], F[:, i] ^= F[:, p], M[:, p] ^= M[:, i]
+                        G ^= (g_sum & col) << p
+                        F ^= f_p * cx_targets
+                        # CZ(p, j): M[:, p] ^= F[:, j], M[:, j] ^= F[:, p],
+                        # gamma += 2 F[:, p] F[:, j]
+                        M ^= (((m_sum & col) ^ f_sum) << p) ^ (f_p * set1)
+                        g1 ^= f_p & f_sum
+                    else:
+                        # U_C <- U_C prod_i CX(i -> p), i over the rest of set1
+                        p = (set1 & -set1).bit_length() - 1
+                        controls = set1 ^ (1 << p)
+                        f_sum = 0
+                        rest = controls
+                        while rest:
+                            f_sum ^= F >> ((rest & -rest).bit_length() - 1)
+                            rest &= rest - 1
+                        # CX(i -> p): G[:, i] ^= G[:, p], F[:, p] ^= F[:, i], M[:, i] ^= M[:, p]
+                        G ^= ((G >> p) & col) * controls
+                        F ^= (f_sum & col) << p
+                        M ^= ((M >> p) & col) * controls
+                    p_bit = 1 << p
+                    if t & p_bit:
+                        # |u + e_p> + i^delta |u> = i^delta (|u> + i^-delta |u + e_p>)
+                        y = u
+                        omega += 2 * delta
+                        delta = -delta & 3
+                    else:
+                        y = t
+                    # S^a H^b |c> from _h_decompose(v_p, delta)
+                    case = ((v >> p) & 1) << 2 | delta
+                    if right_s[case]:
+                        # U_C <- U_C S_p: M[:, p] ^= F[:, p], gamma -= F[:, p] (mod 4)
+                        f = (F >> p) & col
+                        M ^= f << p
+                        g1 ^= f & ~g0
+                        g0 ^= f
+                    set_v, set_s, step = ends[case]
+                    v = v | p_bit if set_v else v & ~p_bit
+                    s = y | p_bit if set_s else y
+                    omega += step
             if c & 1:
                 M ^= G & (row << shift)
                 g1 ^= bit & ~g0

@@ -4,13 +4,15 @@ exhausted.
 
 `verify` and `verify_exhaustive_local` share one block engine. Each verify
 compiles the specification and the realization once. Stimuli are drawn and
-prepared as blocks of B rows of a (B, 2^n) array, with B = 1, 4, 16, ...
-capped by the remaining budget, so a 16-stimulus budget runs in three
-blocks of 1, 4 and 11 rows. A detection wastes the rest of its block: at
-most 3 rows in the second block, and in general a detection at stimulus k
-has prepared fewer than 4k rows. A block holds at most BLOCK_AMPS
-amplitudes, so from n = 16 on every block has one row. The report records
-the row count of each block. A global block is prepared by one call of
+prepared as blocks of B rows of a (B, 2^n) array, with B = 1, 16, 256, ...
+capped by the remaining budget, so a 16-stimulus budget runs in two blocks
+of 1 and 15 rows: the first stimulus alone, since a faulty realization is
+most often caught there, and the rest in one round of kernel calls. A
+detection wastes the rest of its block: at most 14 rows in the default
+budget's second block, and in general a detection at stimulus k has
+prepared fewer than 16k rows. A block holds at most BLOCK_AMPS amplitudes,
+so from n = 16 on every block has one row. The report records the row
+count of each block. A global block is prepared by one call of
 `clifford.write_states`, which takes each row's stabilizer CH-form from
 |0...0> through every sub-round in time polynomial in n and then writes
 the 2^n amplitudes of all rows in one pass. The specification runs in
@@ -44,7 +46,7 @@ import numpy as np
 from .circuit import Circuit
 from .simulator import check_qubits, compile_ops, fidelity, run_ops
 from .simulator import simulate  # noqa: F401
-from .stimuli import CLASSICAL, LOCAL, Draws, RandomSource, Scheme, Stimulus, draw
+from .stimuli import CLASSICAL, LOCAL, Draws, RandomSource, Scheme, Stimulus, checked_int, draw
 from .stimuli import next_stimulus  # noqa: F401
 
 DEFAULT_MAX_STIMULI = 16
@@ -57,10 +59,10 @@ EXACT_LIMIT = 10
 # only on small states; beyond this a wider block just takes more memory.
 BLOCK_AMPS = 1 << 16
 # Each block has this many times the rows of the one before, so that a pair
-# which runs its whole budget pays for few rounds of per-op kernel calls
-# while a detection at the first stimulus, the common case for a faulty
-# realization, still costs one row.
-BLOCK_GROWTH = 4
+# which runs the default budget of 16 pays for two rounds of per-op kernel
+# calls (1 and 15 rows) while a detection at the first stimulus, the common
+# case for a faulty realization, still costs one row.
+BLOCK_GROWTH = 16
 
 
 class Verdict(Enum):
@@ -76,6 +78,7 @@ class VerificationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "max_stimuli", checked_int("max_stimuli", self.max_stimuli))
         if self.max_stimuli < 1:
             raise ValueError(f"max_stimuli must be positive, got {self.max_stimuli}")
         if not 0.0 < self.epsilon < 0.5:
@@ -119,7 +122,7 @@ def _run_block(draws: Draws, n: int, spec_ops, impl_ops) -> tuple[np.ndarray, np
 
 
 def _run_blocks(spec, impl, budget, draw_block, seed_tag, epsilon) -> VerificationReport:
-    """Check `budget` stimuli in blocks of 1, 4, 16, ... rows (growing by
+    """Check `budget` stimuli in blocks of 1, 16, 256, ... rows (growing by
     BLOCK_GROWTH), each block capped by the remaining budget and by
     BLOCK_AMPS amplitudes.
 
@@ -128,9 +131,9 @@ def _run_blocks(spec, impl, budget, draw_block, seed_tag, epsilon) -> Verificati
     Fidelities are checked row by row in stimulus order and the first
     detection ends the run, so `stimuli_used` and `fidelities` are what a
     stimulus-by-stimulus loop would report; the rest of that block is
-    discarded, so a detection at stimulus k has prepared fewer than 4k rows
-    (at most 3 wasted in the second block). The witness circuit is built
-    only for the detecting row.
+    discarded, so a detection at stimulus k has prepared fewer than 16k rows
+    (at most 14 wasted in the second block of a 16-stimulus budget). The
+    witness circuit is built only for the detecting row.
     """
     start = time.perf_counter()
     n = spec.num_qubits

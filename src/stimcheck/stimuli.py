@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import compress, groupby, product
 from typing import NamedTuple, Sequence
@@ -52,6 +53,17 @@ SCHEME_KINDS = ("classical", "local", "global")
 MAX_LAYERS = 1024
 
 
+def checked_int(name: str, value) -> int:
+    """`value` as an int, taking what `operator.index` takes but not a
+    bool; anything else raises a ValueError that names `name`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scheme:
     kind: str
@@ -63,6 +75,7 @@ class Scheme:
         if self.layers is not None:
             if self.kind != "global":
                 raise ValueError(f"layers only apply to the global scheme, not {self.kind!r}")
+            object.__setattr__(self, "layers", checked_int("layers", self.layers))
             if self.layers < 1:
                 raise ValueError(f"layer count must be positive, got {self.layers}")
             if self.layers > MAX_LAYERS:

@@ -3,6 +3,7 @@ import math
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from stimcheck import kernels, oracle
@@ -109,6 +110,16 @@ class TestVerificationConfig:
     def test_rejects_empty_budget(self):
         with pytest.raises(ValueError):
             VerificationConfig(LOCAL, max_stimuli=0)
+
+    def test_rejects_a_non_integer_or_bool_budget(self):
+        for budget in (2.5, 16.0, "16", True, False):
+            with pytest.raises(ValueError, match="max_stimuli"):
+                VerificationConfig(LOCAL, max_stimuli=budget)
+
+    def test_takes_a_budget_as_operator_index_takes_it(self):
+        config = VerificationConfig(LOCAL, max_stimuli=np.int64(3))
+        assert config.max_stimuli == 3 and type(config.max_stimuli) is int
+        assert verify(ghz(3), ghz(3), config).stimuli_used == 3
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -339,19 +350,19 @@ def test_blocks_hold_at_most_2_to_the_16_amplitudes(monkeypatch, n, budget, max_
 
 
 @pytest.mark.parametrize("scheme", [CLASSICAL, LOCAL, global_scheme()], ids=lambda s: s.kind)
-def test_an_equivalent_pair_runs_its_16_stimuli_in_three_blocks(scheme):
+def test_an_equivalent_pair_runs_its_16_stimuli_in_two_blocks(scheme):
     spec = qft(4)
     impl = spec.prepended(Gate(GateKind.H, 1), Gate(GateKind.H, 1))
     report = verify(spec, impl, VerificationConfig(scheme, max_stimuli=16, seed=4))
     assert report.verdict is Verdict.BUDGET_EXHAUSTED
-    assert report.blocks == (1, 4, 11)
+    assert report.blocks == (1, 15)
 
 
 @pytest.mark.parametrize("n,budget,blocks", [
-    (12, 64, (1, 4, 16, 16, 16, 11)),  # 16 rows of 2^12 fill BLOCK_AMPS
+    (12, 64, (1, 16, 16, 16, 15)),  # 16 rows of 2^12 fill BLOCK_AMPS
     (16, 4, (1, 1, 1, 1)),
 ])
-def test_blocks_grow_fourfold_up_to_2_to_the_16_amplitudes(n, budget, blocks):
+def test_blocks_grow_sixteenfold_up_to_2_to_the_16_amplitudes(n, budget, blocks):
     spec = ghz(n)
     report = verify(spec, spec, VerificationConfig(LOCAL, max_stimuli=budget, seed=1))
     assert report.stimuli_used == budget
@@ -370,16 +381,38 @@ def test_a_detection_at_the_first_stimulus_runs_one_row():
                          ids=["cnot-classical", "phase-local"])
 def test_a_detection_in_the_second_block_ends_it(pair, scheme):
     spec, impl = pair()
-    for seed in range(100):  # the first seed whose detection lands in stimuli 2-5
+    for seed in range(100):  # the first seed whose detection lands in stimuli 2-16
         config = VerificationConfig(scheme, max_stimuli=16, seed=seed)
         report = verify(spec, impl, config)
-        if 2 <= report.stimuli_used <= 5:
+        if 2 <= report.stimuli_used <= 16:
             break
-    assert 2 <= report.stimuli_used <= 5, "no seed below 100 detects in the second block"
-    assert report.blocks == (1, 4)
+    assert 2 <= report.stimuli_used <= 16, "no seed below 100 detects in the second block"
+    assert report.blocks == (1, 15)
     rng = RandomSource(seed)
     stimuli = (next_stimulus(scheme, 2, rng, seed_tag=f"{seed}:{j}") for j in range(16))
     _assert_same_report(report, _reference_run(spec, impl, stimuli, config.epsilon))
+
+
+def test_a_detection_at_stimulus_k_prepares_fewer_than_16k_rows():
+    # Each bundled-corpus mutant under each scheme, with the default budget:
+    # a detection runs the budget's blocks (1, 15) up to the detecting one.
+    # Blocks growing fourfold would keep the bound too (fewer than 4k rows),
+    # so the blocks themselves are checked as well.
+    later = 0
+    for ci, spec in enumerate(bundled_corpus()):
+        for oi, option in enumerate(ErrorOption):
+            try:
+                impl = mutate(spec, option, RandomSource(501, ci, oi))
+            except MutationError:
+                continue
+            for scheme in (CLASSICAL, LOCAL, global_scheme()):
+                report = verify(spec, impl, VerificationConfig(scheme, seed=ci))
+                if report.verdict is not Verdict.ERROR_DETECTED:
+                    continue
+                assert sum(report.blocks) < 16 * report.stimuli_used, report.blocks
+                assert report.blocks == ((1,) if report.stimuli_used == 1 else (1, 15))
+                later += report.stimuli_used > 1
+    assert later > 0, "no mutant is detected after the first stimulus"
 
 
 def test_exhaustive_local_blocks_cover_every_stimulus():
@@ -388,7 +421,7 @@ def test_exhaustive_local_blocks_cover_every_stimulus():
                                                           Gate(GateKind.H, 1)))
     assert report.verdict is Verdict.BUDGET_EXHAUSTED
     assert sum(report.blocks) == report.stimuli_used == 6 ** 4
-    assert report.blocks == (1, 4, 16, 64, 256, 955)
+    assert report.blocks == (1, 16, 256, 1023)
 
 
 def _assert_trace_matches_oracle(spec, impl):

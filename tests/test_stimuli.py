@@ -64,9 +64,16 @@ class TestScheme:
         with pytest.raises(ValueError):
             Scheme("local", layers=2)
 
+    def test_layers_taken_as_operator_index_takes_them(self):
+        scheme = global_scheme(np.int64(3))
+        assert scheme.layers == 3 and type(scheme.layers) is int
+        assert scheme == global_scheme(3)
+
     def test_nonpositive_layers_rejected(self):
-        for layers in (0, MAX_LAYERS + 1):
-            with pytest.raises(ValueError):
+        # and a non-integer or a bool, which would fail later in numpy or
+        # count as one layer
+        for layers in (0, MAX_LAYERS + 1, 2.5, 3.0, "3", True, False):
+            with pytest.raises(ValueError, match="layer"):
                 global_scheme(layers)
         assert global_scheme(MAX_LAYERS).layers == MAX_LAYERS
 
@@ -597,16 +604,30 @@ def test_a_block_of_ch_forms_equals_its_rows_written_one_at_a_time():
                                       [ch_form_state(n, rounds) for rounds in rows])
 
 
+def test_the_h_update_tables_hold_every_case_of_h_decompose():
+    # H^h (|0> + i^delta |1>) = sqrt(2) exp(i pi k / 4) S^a H^b |c>, and the
+    # H update in _evolve reads the case (h, delta) at 4 h + delta
+    h_gate, s_gate = base_matrix(GateKind.H), base_matrix(GateKind.S)
+    assert len(clifford._H_RIGHT_S) == len(clifford._H_ENDS) == 8
+    for h, delta in itertools.product((0, 1), range(4)):
+        a, b, c, k = clifford._h_decompose(h, delta)
+        case = 4 * h + delta
+        assert (clifford._H_RIGHT_S[case], *clifford._H_ENDS[case]) == (a, b, c, k)
+        state = np.linalg.matrix_power(h_gate, h) @ np.array([1, 1j ** delta])
+        form = (math.sqrt(2) * np.exp(1j * np.pi * k / 4) * np.linalg.matrix_power(s_gate, a)
+                @ np.linalg.matrix_power(h_gate, b) @ np.eye(2)[c])
+        np.testing.assert_allclose(state, form, rtol=0, atol=1e-12, err_msg=f"{h} {delta}")
+
+
 def test_every_branch_of_the_h_update_is_hit():
-    # Every line of the H update and of the decomposition it ends with runs,
-    # so each branch's body runs: t == u, the CX and CZ column operations
-    # when t and u differ off v, the CX ones when they differ on v only,
-    # each case of _h_decompose and the right S it may ask for. Every line
+    # Every line of the H update in _evolve runs, so each branch's body
+    # runs: t == u, the CX and CZ column operations when t and u differ off
+    # v, the CX ones when they differ on v only, the swap of t and u, and
+    # the right S that a case of _h_decompose may ask for. Every other line
     # of write_states and of _evolve runs too: in its rounds X, S^a with a
     # odd and a = 2, S^c with c odd and c = 2, the phase k and the CNOT
     # update, and the write of one row and of a block of rows.
-    codes = {clifford._h_update.__code__, clifford._h_decompose.__code__,
-             clifford._evolve.__code__, write_states.__code__}
+    codes = {clifford._evolve.__code__, write_states.__code__}
     ran = set()
 
     def trace_lines(frame, event, arg):
@@ -630,8 +651,7 @@ def test_every_branch_of_the_h_update_is_hit():
         sys.settrace(previous)
     lines = {(code.co_name, line) for code in codes for _, _, line in code.co_lines()
              if line is not None and line != code.co_firstlineno}
-    assert {name for name, _ in lines} == {"_h_update", "_h_decompose", "_evolve",
-                                           "write_states"}
+    assert {name for name, _ in lines} == {"_evolve", "write_states"}
     assert lines - ran == set()
 
 
