@@ -18,14 +18,17 @@ verifier's block stimulus engine.
    rebuilds for the stimulus that detects an error.
 4. One global stimulus (one layer per qubit) at n = 4, 8, ..., 20, up to
    max-qubits: the time per `Draws.prepare` of a one-row block, which goes
-   through the stabilizer CH-form, against simulating the same preparation
-   circuit gate by gate with `simulate`; the tracemalloc peak of one such
-   `prepare` in a new thread, in bytes per amplitude (the block itself is
-   16), measured in a call of its own so that tracing slows no timed call;
-   and at n = 4, 8 and 12 the time per row of a 16-row block, whose rows
-   each go through their own CH-form, one pass per sub-round, as in
-   `verify`. n = 4 and 8 are the sizes at which the equivalence workloads
-   and the global-ensemble acceptance test prepare their rows.
+   through the row's stabilizer tableau, against simulating the same
+   preparation circuit gate by gate with `simulate`; the two parts of
+   `prepare` timed apart, `evolve` (the tableau taken through every
+   sub-round, then reduced to the row's amplitude tables) and `write` (the
+   amplitudes written from those tables into a new one-row block); the
+   tracemalloc peak of one such `prepare` in a new thread, in bytes per
+   amplitude (the block itself is 16), measured in a call of its own so
+   that tracing slows no timed call; and at n = 4, 8 and 12 the time per
+   row of a 16-row block, whose rows each go through their own tableau, as
+   in `verify`. n = 4 and 8 are the sizes at which the equivalence
+   workloads and the global-ensemble acceptance test prepare their rows.
 5. The equivalence filter of `bench`, for qft(n) against an insert_2
    mutant: ms per pair for the oracle route (two `oracle.build_unitary`
    calls and `oracle.avg_fidelity`) and for `equivalence.trace_fidelity`,
@@ -58,13 +61,14 @@ import tracemalloc
 
 import numpy as np
 
-from stimcheck import kernels, oracle, qasm
+from stimcheck import clifford, kernels, oracle, qasm
 from stimcheck.circuit import Gate, GateKind
 from stimcheck.equivalence import VerificationConfig, trace_fidelity, verify
 from stimcheck.library import bundled_corpus, qft
 from stimcheck.mutation import ErrorOption, mutate
 from stimcheck.simulator import compile_ops, run_ops, simulate, zero_state
-from stimcheck.stimuli import CLASSICAL, LOCAL, RandomSource, draw, global_scheme, next_stimulus
+from stimcheck.stimuli import (
+    _CONJUGATIONS, CLASSICAL, LOCAL, RandomSource, draw, global_scheme, next_stimulus)
 
 # one gate per update class, as a function of (target, num_qubits)
 CLASS_GATES = {
@@ -222,16 +226,27 @@ def main() -> None:
     for n in range(4, min(args.max_qubits, 20) + 1, 4):
         draws = draw(global_scheme(), n, [RandomSource(5, n)])
         circuit = draws.prep(0)
+        rounds = list(zip(draws.choices[0].tolist(), draws.pairs[0].tolist()))
+
+        def evolve():
+            return clifford._reduce(n, *clifford._evolve(n, _CONJUGATIONS, rounds))
+
+        row_tables = evolve()
         preparations.append({
             "qubits": n,
             "prepare": best_seconds(draws.prepare, args.repeats) * 1e3,
+            "evolve": best_seconds(evolve, args.repeats) * 1e3,
+            "write": best_seconds(lambda: clifford._write(
+                n, [row_tables], np.empty((1, 1 << n), dtype=complex)), args.repeats) * 1e3,
             "simulate": best_seconds(lambda: simulate(circuit, zero_state(n)), args.repeats) * 1e3,
             "peak_B_per_amp": peak_bytes(draws.prepare) / (1 << n),
         })
     show(tables, "global_prepare_ms",
-         "one global stimulus, ms per preparation, and peak bytes per amplitude of prepare:",
-         [("qubits", 6, "d"), ("prepare", 10, ".2f"), ("simulate", 10, ".2f"),
-          ("peak_B_per_amp", 14, ".2f")], preparations)
+         "one global stimulus, ms per preparation (evolve + write), "
+         "and peak bytes per amplitude of prepare:",
+         [("qubits", 6, "d"), ("prepare", 10, ".3f"), ("evolve", 10, ".3f"),
+          ("write", 10, ".3f"), ("simulate", 10, ".2f"), ("peak_B_per_amp", 14, ".2f")],
+         preparations)
     rows = 16
     blocks = []
     for n in (4, 8, 12):
@@ -239,7 +254,7 @@ def main() -> None:
         blocks.append({"qubits": n, "rows": rows,
                        "ms/row": best_seconds(block.prepare, args.repeats) / rows * 1e3})
     show(tables, "global_block_ms_per_row",
-         f"global block of {rows} rows, one CH-form per row, ms per row:",
+         f"global block of {rows} rows, one tableau per row, ms per row:",
          [("qubits", 6, "d"), ("rows", 4, "d"), ("ms/row", 8, ".3f")], blocks)
 
     pairs = []

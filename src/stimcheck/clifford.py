@@ -1,277 +1,220 @@
-"""Stabilizer states in CH-form: global stimuli prepared without applying
-their gates to the state vector one by one.
+"""Stabilizer tableaux: global stimuli prepared without applying their
+gates to the state vector one by one.
 
 A global stimulus is an H, S, CNOT circuit applied to |0...0>, so it
-prepares a stabilizer state. The CH-form of Bravyi et al. (Simulation of
-quantum circuits by low-rank stabilizer decompositions, Quantum 3:181,
-2019, Sec. 4.1 and Prop. 4) writes such a state, global phase included, as
+prepares a stabilizer state, the joint +1 eigenstate of n commuting Paulis,
+its generators. `_evolve` holds them in a tableau packed by column, as Stim
+does (Gidney, Stim: a fast stabilizer circuit simulator, Quantum 5:497,
+2021): X[q] and Z[q] are Python ints whose bit g is the X and Z bit of
+generator g on qubit q, with Y as both, and bit g of one int r is its sign.
+|0...0> is the tableau whose generator g is Z_g. The updates are those of
+Aaronson and Gottesman (Improved simulation of stabilizer circuits, Phys.
+Rev. A 70:052328, 2004), a few big-int operations each, with no branch on
+the state:
 
-    |phi> = omega U_C U_H |s>,
+- a single-qubit Clifford maps X, Y and Z to signed Paulis, so on qubit q
+  it is a fixed symplectic 2x2 on (X[q], Z[q]) plus a sign flip on the
+  generators whose Pauli on q it negates. `conjugation` reads both off the
+  Clifford's matrix, so the 24 words of a global stimulus come from
+  `base_matrix` like every other gate;
+- a CX(c, t) is r ^= X[c] & Z[t] & ~(X[t] ^ Z[c]), X[t] ^= X[c] and
+  Z[c] ^= Z[t].
 
-where U_H = prod_j H_j^v_j, s is a basis state and U_C is a product of S,
-CZ and CX gates. Such a U_C fixes |0...0>, and it is stored as the Paulis
-it conjugates X_p and Z_p into:
+A tableau fixes its state up to a global phase, which `verify`'s |<.|.>|^2
+does not see. To write the amplitudes, `_reduce` transposes it to rows,
+generator g as i^ph X(x) Z(z), and brings the X parts to reduced echelon
+form: pivot rows (x_i, z_i, ph_i), each alone in having its pivot bit, and
+generators with no X part, i^ph Z(z). The state is supported on s0 + the
+span of the x_i, where s0, zero at the pivots, solves z.s0 = ph / 2 for
+every such Z(z), found by a second reduced elimination (Dehaene and De
+Moor, Phys. Rev. A 68:042318, 2003). Pivot row i maps the amplitude at t
+to the one at t ^ x_i with the factor i^ph_i (-1)^(z_i.t), so with pivots
+taken in bit order, up to a global phase, the amplitude at
+s0 ^ sum_i c_i x_i is 2^(-rank/2) i^theta with
 
-    U_C^-1 Z_p U_C = prod_j Z_j^G[p, j]
-    U_C^-1 X_p U_C = i^gamma_p prod_j X_j^F[p, j] Z_j^M[p, j]
+    theta = sum_i c_i (ph_i + 2 z_i.s0) + 2 sum_{j<i} c_i c_j z_i.x_j.
 
-A left S or CX is a few row operations on F, G, M and gamma. A left X_p
-changes only s and omega: U_C^-1 X_p U_C = i^gamma_p X(F_p) Z(M_p), U_H
-swaps X and Z on the qubits in v, and X(F_p) Z(M_p) reordered as X then Z
-after that swap, applied to |s>, gives
-
-    X_p |phi> = omega i^gamma_p (-1)^beta U_C U_H |s ^ (F_p & ~v) ^ (M_p & v)>,
-    beta = parity((M_p & ~v & s) ^ (F_p & v & (s ^ M_p))),
-
-so s ^= (F_p & ~v) ^ (M_p & v) and omega += 2 gamma_p + 4 beta, both from
-the old s. It is the X half of the H update in `_evolve`. A left H turns
-the state into a sum of two basis states under U_C U_H, which right CX, CZ
-and S (column operations) fold back into one.
-
-A global stimulus is built in sub-rounds: one of the 24 single-qubit
-Cliffords on every qubit, then CNOTs. Each Clifford is written once as
-exp(i pi k / 4) S^c H^b S^a X^x (`WordForm`, X applied first, b at most 1):
-8 of the 24 need no H and 16 need one, where their shortest H, S words
-need 1.25 on average. `write_states` is the whole preparation of a block
-of rows. For each row, `_evolve` starts the form at |0...0> and applies
-every sub-round, its words and then its CNOTs, holding the form in local
-variables throughout. Then the 2^n amplitudes of every row are written in
-one pass, so that its numpy calls are paid once per block, not once per
-row. The H update is written once, inside `_evolve`'s word loop, on the
-form's local ints; it ends with one of the eight cases of `_h_decompose`,
-read from two tables built from that function at import.
-
-Each bit matrix is a single Python int with row p in bits p*n .. p*n + n - 1,
-so a row or a column operation is a few big-int operations; gamma is two
-bit planes in the same layout, its bits at p*n. omega stays exact, an int
-whose residue mod 8 indexes an eighth root of unity, until the amplitudes
-are written, when it and the power of sqrt(2) that U_H contributes become
-one complex.
+`write_states` is the whole preparation of a block of rows: every row's
+tableau is taken through its sub-rounds, one Clifford on every qubit and
+then CNOTs, and reduced; then the 2^n amplitudes of every row are written
+in one pass, so that its numpy calls are paid once per block, not once
+per row.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-# exp(i pi k / 4) for k = 0..7, and i^k for k = 0..3
+from .circuit import GateKind, base_matrix
+
 _R = math.sqrt(0.5)
-_EIGHTH_ROOTS = (1, _R + _R * 1j, 1j, -_R + _R * 1j, -1, -_R - _R * 1j, -1j, _R - _R * 1j)
+# i^k for k = 0..3
 _POWERS_OF_I = (1, 1j, -1, -1j)
 _TAKE_CHUNK = 1 << 13
+# X, Z and Y as their (x, z) bits
+_PAULIS = {(1, 0): base_matrix(GateKind.X), (0, 1): base_matrix(GateKind.Z),
+           (1, 1): base_matrix(GateKind.Y)}
 
 
-class WordForm(NamedTuple):
-    """A single-qubit Clifford as exp(i pi k / 4) S^c H^b S^a X^x: X^x is
-    applied first, b is 0 or 1, a and c are 0..3 and k is 0..7."""
-    x: int
-    a: int
-    b: int
-    c: int
-    k: int
+def conjugation(u: np.ndarray) -> tuple[int, ...]:
+    """What the single-qubit Clifford `u` does to qubit q's columns
+    x = X[q] and z = Z[q] of a tableau, as the masks
+    (xx, xz, zx, zz, fx, fz, fy), each 0 or -1, that `_evolve` applies:
+
+        r ^= (x & fx) ^ (z & fz) ^ (x & z & fy)
+        X[q], Z[q] = (x & xx) ^ (z & zx), (x & xz) ^ (z & zz)
+
+    u X u^-1 is the Pauli with bits (-xx, -xz), negated if fx is set, and
+    u Z u^-1 the one with bits (-zx, -zz), negated if fz is set; fy is set
+    if u Y u^-1 has the other sign than the product of those two."""
+    images = {}
+    for bits, pauli in _PAULIS.items():
+        image = u @ pauli @ u.conj().T
+        images[bits] = next((image_bits, sign) for image_bits, other in _PAULIS.items()
+                            for sign in (0, 1) if np.allclose(image, (-1) ** sign * other))
+    (xx, xz), fx = images[1, 0]
+    (zx, zz), fz = images[0, 1]
+    return tuple(-bit for bit in (xx, xz, zx, zz, fx, fz, fx ^ fz ^ images[1, 1][1]))
 
 
-def _h_decompose(h: int, delta: int) -> tuple[int, int, int, int]:
-    """(a, b, c, k) with H^h (|0> + i^delta |1>) = sqrt(2) exp(i pi k / 4)
-    S^a H^b |c>, for h in {0, 1} (nonzero counts as 1) and delta in 0..3."""
-    if not h:
-        return delta & 1, 1, delta >> 1, 0
-    if not delta & 1:
-        return 0, 0, delta >> 1, 0
-    # H (|0> + i |1>) = (1 + i) S H |1>, H (|0> - i |1>) = (1 - i) S H |0>
-    return (1, 1, 1, 1) if delta == 1 else (1, 1, 0, -1)
-
-
-# _h_decompose's eight cases, indexed by 4 h + delta, as the H update in
-# `_evolve` reads them: whether it ends with a right S, and the v bit, the
-# s bit and the omega step it ends with.
-_H_RIGHT_S = tuple(_h_decompose(case >> 2, case & 3)[0] for case in range(8))
-_H_ENDS = tuple(_h_decompose(case >> 2, case & 3)[1:] for case in range(8))
-
-
-def _evolve(n: int, forms: Sequence[WordForm],
+def _evolve(n: int, table: Sequence[tuple[int, ...]],
             rounds: Iterable[tuple[Sequence[int], Iterable[Sequence[int]]]]):
-    """The CH-form of |0...0> after `rounds`, as the three tables that
-    `write_states` writes its amplitudes from:
-
-    - F_p & ~v for p = 0..n-1, then s & ~v;
-    - c_p, then 2 w_p[j] mod 4 for j = 0..p-1, for each p in turn, the
-      order in which the doubling pass adds them to theta;
-    - omega 2^(-|v|/2) i^t for t = 0..3, then 0, the amplitude of each
-      value of theta and of an x off the support."""
-    row = (1 << n) - 1  # row 0 of a matrix
-    col = sum(1 << (p * n) for p in range(n))  # column 0 of a matrix
-    # |0...0>: U_C = U_H = 1, so F = G = identity, M = gamma = 0 and s = 0;
-    # gamma_p = g0 bit p*n + 2 * g1 bit p*n, the phase is exp(i pi omega / 4)
-    F = G = sum(1 << (p * n + p) for p in range(n))
-    M = g0 = g1 = v = s = omega = 0
-    right_s, ends = _H_RIGHT_S, _H_ENDS
+    """The tableau (X, Z, r) of |0...0> after `rounds`: in each, the update
+    `table[words[q]]` on each qubit q, then a CX for each (control, target)
+    of `cnots`, in order."""
+    X = [0] * n
+    Z = [1 << q for q in range(n)]
+    r = 0
     for words, cnots in rounds:
         for q, w in enumerate(words):
-            x, a, b, c, k = forms[w]
-            shift = q * n
-            bit = 1 << shift
-            if x:
-                # X_q -> i^gamma_q X(F_q) Z(M_q) under U_C^-1 ... U_C; U_H
-                # swaps X and Z on v, and the Z part is read off the old s.
-                f, m = (F >> shift) & row, (M >> shift) & row
-                omega += 2 * ((g0 >> shift) & 1) + 4 * (
-                    ((g1 >> shift) ^ ((m & ~v & s) ^ (f & v & (s ^ m))).bit_count()) & 1)
-                s ^= (f & ~v) ^ (m & v)
-            if a & 1:
-                # S_q: X_q -> i^-1 X_q Z_q, so M_q ^= G_q and gamma_q -= 1
-                M ^= G & (row << shift)
-                g1 ^= bit & ~g0
-                g0 ^= bit
-            if a & 2:
-                g1 ^= bit  # S_q^2 = Z_q: gamma_q -= 2
-            if b:
-                # Left H_q, by Prop. 4 of Bravyi et al.: H_q = (X_q + Z_q) / sqrt(2),
-                # and pushing U_C^-1 X_q U_C and U_C^-1 Z_q U_C through U_H
-                # onto |s> gives
-                # H_q |phi> = omega (-1)^alpha U_C U_H (|t> + i^delta |u>) / sqrt(2).
-                g, f, m = (G >> shift) & row, (F >> shift) & row, (M >> shift) & row
-                nv = v ^ row
-                t = s ^ (g & v)
-                u = s ^ (f & nv) ^ (m & v)
-                alpha = (g & nv & s).bit_count() & 1
-                beta = ((m & nv & s) ^ (f & v & (m ^ s))).bit_count() & 1
-                delta = (((g0 >> shift) & 1) + 2 * (((g1 >> shift) & 1) + alpha + beta)) & 3
-                omega += 4 * alpha
-                if t == u:
-                    # The two Paulis anticommute, so delta is odd and
-                    # (1 + i^delta) / sqrt(2) is exp(+-i pi / 4).
-                    s = t
-                    omega += 1 if delta == 1 else -1
-                else:
-                    # Right CX and CZ on qubit p leave |t> and |u> differing in
-                    # bit p only. These gates commute, so their column
-                    # operations are done together.
-                    differ = t ^ u
-                    set0, set1 = differ & nv, differ & v
-                    if set0:
-                        # U_C <- U_C prod_i CX(p -> i) prod_j CZ(p, j), i over
-                        # the rest of set0, j over set1
-                        p = (set0 & -set0).bit_length() - 1
-                        cx_targets = set0 ^ (1 << p)
-                        f_p = (F >> p) & col
-                        g_sum = m_sum = f_sum = 0
-                        rest = cx_targets
-                        while rest:
-                            i = (rest & -rest).bit_length() - 1
-                            g_sum ^= G >> i
-                            m_sum ^= M >> i
-                            rest &= rest - 1
-                        rest = set1
-                        while rest:
-                            f_sum ^= F >> ((rest & -rest).bit_length() - 1)
-                            rest &= rest - 1
-                        f_sum &= col
-                        # CX(p -> i): G[:, p] ^= G[:, i], F[:, i] ^= F[:, p], M[:, p] ^= M[:, i]
-                        G ^= (g_sum & col) << p
-                        F ^= f_p * cx_targets
-                        # CZ(p, j): M[:, p] ^= F[:, j], M[:, j] ^= F[:, p],
-                        # gamma += 2 F[:, p] F[:, j]
-                        M ^= (((m_sum & col) ^ f_sum) << p) ^ (f_p * set1)
-                        g1 ^= f_p & f_sum
-                    else:
-                        # U_C <- U_C prod_i CX(i -> p), i over the rest of set1
-                        p = (set1 & -set1).bit_length() - 1
-                        controls = set1 ^ (1 << p)
-                        f_sum = 0
-                        rest = controls
-                        while rest:
-                            f_sum ^= F >> ((rest & -rest).bit_length() - 1)
-                            rest &= rest - 1
-                        # CX(i -> p): G[:, i] ^= G[:, p], F[:, p] ^= F[:, i], M[:, i] ^= M[:, p]
-                        G ^= ((G >> p) & col) * controls
-                        F ^= (f_sum & col) << p
-                        M ^= ((M >> p) & col) * controls
-                    p_bit = 1 << p
-                    if t & p_bit:
-                        # |u + e_p> + i^delta |u> = i^delta (|u> + i^-delta |u + e_p>)
-                        y = u
-                        omega += 2 * delta
-                        delta = -delta & 3
-                    else:
-                        y = t
-                    # S^a H^b |c> from _h_decompose(v_p, delta)
-                    case = ((v >> p) & 1) << 2 | delta
-                    if right_s[case]:
-                        # U_C <- U_C S_p: M[:, p] ^= F[:, p], gamma -= F[:, p] (mod 4)
-                        f = (F >> p) & col
-                        M ^= f << p
-                        g1 ^= f & ~g0
-                        g0 ^= f
-                    set_v, set_s, step = ends[case]
-                    v = v | p_bit if set_v else v & ~p_bit
-                    s = y | p_bit if set_s else y
-                    omega += step
-            if c & 1:
-                M ^= G & (row << shift)
-                g1 ^= bit & ~g0
-                g0 ^= bit
-            if c & 2:
-                g1 ^= bit
-            omega += k
-        for control, target in cnots:
-            # X_c -> X_c X_t, Z_t -> Z_c Z_t: gamma_c += gamma_t + 2 M_c.F_t,
-            # the low bits adding with a carry into the high one
-            ctl, tgt = control * n, target * n
-            f_t = (F >> tgt) & row
-            low = (g0 >> tgt) & 1
-            g1 ^= (((g1 >> tgt) ^ (low & (g0 >> ctl)) ^ ((M >> ctl) & f_t).bit_count())
-                   & 1) << ctl
-            g0 ^= low << ctl
-            G ^= ((G >> ctl) & row) << tgt
-            F ^= f_t << ctl
-            M ^= ((M >> tgt) & row) << ctl
+            xx, xz, zx, zz, fx, fz, fy = table[w]
+            x, z = X[q], Z[q]
+            r ^= (x & fx) ^ (z & fz) ^ (x & z & fy)
+            X[q] = (x & xx) ^ (z & zx)
+            Z[q] = (x & xz) ^ (z & zz)
+        for c, t in cnots:
+            xc, zt = X[c], Z[t]
+            r ^= xc & zt & ~(X[t] ^ Z[c])
+            X[t] ^= xc
+            Z[c] ^= zt
+    return X, Z, r
 
-    nv = v ^ row
-    sv = s & v
-    off_v, steps, rows_f = [], [], []
-    for shift in range(0, n * n, n):
-        f, m = (F >> shift) & row, (M >> shift) & row  # F_p and M_p
-        off_v.append(f & nv)
-        # c_p = gamma_p + 2 F_p.(M_p ^ (s & v)), then 2 w_p[j] for j < p
-        steps.append((((g0 >> shift) & 1) + 2 * (((g1 >> shift) & 1) + (f & (m ^ sv)).bit_count()))
-                     & 3)
-        for f_j in rows_f:
-            steps.append(((f_j & m).bit_count() & 1) << 1)
-        rows_f.append(f)
-    off_v.append(s & nv)
-    scale = _EIGHTH_ROOTS[omega & 7] * _R ** v.bit_count()
+
+def _reduce(n: int, X: list[int], Z: list[int], r: int):
+    """The state of the tableau (X, Z, r), up to a global phase, as the
+    three tables that `_write` writes its amplitudes from:
+
+    - e_p, or e_p ^ x_i for the pivot row i with pivot bit p, for
+      p = 0..n-1, then s0;
+    - c_p, then 2 w_p[j] mod 4 for j = 0..p-1, for each p in turn, the
+      order in which the doubling pass adds them to theta: for pivot row i,
+      c_p = ph_i + 2 z_i.s0 and w_p[j] = z_i.x_k for the pivot row k of bit
+      j, and 0 at every bit that is no pivot;
+    - 2^(-rank/2) i^t for t = 0..3, then 0, the amplitude of each value of
+      theta and of an x off the support."""
+    # the generators as rows, g = i^ph X(x) Z(z): Y = i X Z
+    xs, zs = [0] * n, [0] * n
+    for q in range(n):
+        bit = 1 << q
+        for column, rows in ((X[q], xs), (Z[q], zs)):
+            while column:
+                low = column & -column
+                rows[low.bit_length() - 1] |= bit
+                column ^= low
+    # Reduced echelon form of the X parts, a row at a time: the pivots so
+    # far clear the row's bits at their pivots, and a row left with an X
+    # part clears its lowest bit from them. Generators commute, so a
+    # product g g' = i^(ph + ph') (-1)^(z.x') X(x ^ x') Z(z ^ z') in either
+    # order.
+    pivots: dict[int, tuple[int, int, int]] = {}  # pivot bit -> (x, z, ph)
+    z_only = []
+    for g in range(n):
+        x, z = xs[g], zs[g]
+        ph = 2 * (r >> g) + (x & z).bit_count()
+        for low in [p for p in pivots if x & p]:
+            px, pz, pph = pivots[low]
+            ph += pph + 2 * (pz & x).bit_count()
+            x ^= px
+            z ^= pz
+        ph &= 3
+        if not x:
+            z_only.append((z, ph >> 1))
+            continue
+        low = x & -x
+        for p, (px, pz, pph) in pivots.items():
+            if px & low:
+                pivots[p] = (px ^ x, pz ^ z, (pph + ph + 2 * (z & px).bit_count()) & 3)
+        pivots[low] = (x, z, ph)
+    # s0, zero at the pivots, with z.s0 = b for every (z, b) of z_only: a
+    # reduced elimination of the z restricted to the other bits, whose
+    # pivots s0 then holds where b is 1
+    free = ((1 << n) - 1) & ~sum(pivots)
+    solved: dict[int, tuple[int, int]] = {}  # pivot bit -> (z, b)
+    for z, b in z_only:
+        z &= free
+        for low in [p for p in solved if z & p]:
+            pz, pb = solved[low]
+            z ^= pz
+            b ^= pb
+        low = z & -z
+        for p, (pz, pb) in solved.items():
+            if pz & low:
+                solved[p] = (pz ^ z, pb ^ b)
+        solved[low] = (z, b)
+    s0 = sum(p for p, (_, b) in solved.items() if b)
+
+    off_v = [1 << p for p in range(n)]
+    steps = []
+    x_at = [0] * n  # x of the pivot row with pivot bit j, else 0
+    for p in range(n):
+        row = pivots.get(1 << p)
+        if row is None:
+            steps += [0] * (p + 1)
+            continue
+        x, z, ph = row
+        off_v[p] ^= x
+        steps.append((ph + 2 * (z & s0).bit_count()) & 3)
+        steps += [((z & x_j).bit_count() & 1) << 1 for x_j in x_at[:p]]
+        x_at[p] = x
+    off_v.append(s0)
+    scale = _R ** len(pivots)
     return off_v, steps, [scale * z for z in _POWERS_OF_I] + [0]
 
 
-def write_states(n: int, forms: Sequence[WordForm],
+def write_states(n: int, table: Sequence[tuple[int, ...]],
                  rows: Iterable[Iterable[tuple[Sequence[int], Iterable[Sequence[int]]]]],
                  out: np.ndarray) -> None:
     """Write into row r of the (rows, 2^n) block `out` the amplitudes,
     qubit 0 the least significant bit of the index, of |0...0> after the
-    r-th rounds of `rows`. Each round is (words, cnots): the Clifford
-    `forms[words[q]]` on each qubit q, then a CX for each
-    (control, target) of `cnots`, in order.
+    r-th rounds of `rows`, up to a global phase per row. Each round is
+    (words, cnots): the Clifford whose `conjugation` is `table[words[q]]`
+    on each qubit q, then a CX for each (control, target) of `cnots`, in
+    order. Every row's tableau is evolved and reduced first, and `rows`
+    is used up before the write allocates anything of the block's size."""
+    _write(n, (_reduce(n, *_evolve(n, table, rounds)) for rounds in rows), out)
 
-    Every row's form is taken through its rounds first, and `rows` is
-    used up before the write allocates anything of the block's size. A
-    row's last form is written out as
-    <x|phi> = omega <0| U_C^-1 X(x) U_C U_H |s>, because U_C fixes <0|,
-    and U_C^-1 X(x) U_C = i^mu X(a) Z(b) with a = xF and b = xM. So the
-    amplitude is omega 2^(-|v|/2) i^theta(x) where a agrees with s off
-    v, and 0 elsewhere, with theta = mu + 2 a.b + 2 a.(s & v). Setting
-    bit p of an x below 2^p adds F_p to a and c_p + 2 x.w_p to theta,
-    with c_p = gamma_p + 2 F_p.(M_p ^ (s & v)) and w_p[j] = F_j.M_p.
-    Both are built for all rows at once by doubling over p, a (its bits
-    off v only) in uint32 and theta mod 4 in uint8, so the numpy calls
-    of the pass are paid once per block: 6 bytes per amplitude of arrays
-    of its own, freed when it returns, before the verifier copies the
-    block for spec and impl. A table lookup then writes each row of
-    `out`, by chunks and with clipped indices, so that `np.take` copies
-    only a chunk of theta at a time and never buffers `out`.
+
+def _write(n: int, rows: Iterable[tuple[list, list, list]], out: np.ndarray) -> None:
+    """Write row r of `out` from the r-th tables of `rows`, as `_reduce`
+    gives them, used up before anything of the block's size is allocated.
+    The
+    amplitude at x is the phase table's entry theta(x), where
+    L(x) = sum_p x_p off_v[p] equals s0 and 0 elsewhere: L(x) = x ^ sum_i
+    x_(p_i) x_i is s0 exactly on the support, because s0 and every x_k
+    with k != i are 0 at x_i's pivot p_i, and there theta(x) is the sum of
+    x_p c_p + 2 x_p x_j w_p[j] over p and j < p. Setting bit p of an x below
+    2^p adds off_v[p] to L(x) and c_p + 2 x.w_p to theta. Both are built
+    for all rows at once by doubling over p, L in uint32 and theta mod 4 in
+    uint8, so the numpy calls of the pass are paid once per block: 6 bytes
+    per amplitude of arrays of its own, freed when it returns, before the
+    verifier copies the block for spec and impl. A table lookup then writes
+    each row of `out`, by chunks and with clipped indices, so that
+    `np.take` copies only a chunk of theta at a time and never buffers
+    `out`.
     """
-    tables = [_evolve(n, forms, rounds) for rounds in rows]
+    tables = list(rows)
     phases = np.array([table[2] for table in tables], dtype=complex)  # (rows, 5)
     count, size = len(tables), 1 << n
     if count == 1:
@@ -287,7 +230,7 @@ def write_states(n: int, forms: Sequence[WordForm],
         steps = np.array([table[1] for table in tables], dtype=np.uint8).T
         shape = (size, count)
     del tables
-    xf = np.empty(shape, dtype=np.uint32)  # a = xF, its bits off v
+    xf = np.empty(shape, dtype=np.uint32)  # L(x)
     theta = np.empty(shape, dtype=np.uint8)
     step = np.empty(shape, dtype=np.uint8)  # theta's increment, later the support mask
     xf[0] = theta[0] = 0

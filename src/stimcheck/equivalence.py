@@ -13,9 +13,10 @@ budget's second block, and in general a detection at stimulus k has
 prepared fewer than 16k rows. A block holds at most BLOCK_AMPS amplitudes,
 so from n = 16 on every block has one row. The report records the row
 count of each block. A global block is prepared by one call of
-`clifford.write_states`, which takes each row's stabilizer CH-form from
-|0...0> through every sub-round in time polynomial in n and then writes
-the 2^n amplitudes of all rows in one pass. The specification runs in
+`clifford.write_states`, which takes each row's stabilizer tableau from
+|0...0> through every sub-round in time polynomial in n, reduces it, and
+then writes the 2^n amplitudes of all rows in one pass, each row up to a
+global phase, which the fidelity does not see. The specification runs in
 place on the prepared block and the realization on one copy, so two
 blocks are live; both are freed before the next block is prepared. A row
 is a state, a (2^n,) array as in `simulator`, so `fidelity` compares rows

@@ -7,8 +7,8 @@ gates (H, S, CNOT) so that the stimulus ensemble approaches a state
 2-design as the layer count grows. Gate matrices come from `circuit.py`
 only: the six states are simulated from their preparation words, the 24
 single-qubit Cliffords are enumerated from `base_matrix` of H and S, and
-each one's form exp(i pi k / 4) S^c H^b S^a X^x is matched against the
-products of `base_matrix` of X, H and S.
+each one's tableau update is read off its matrix by
+`clifford.conjugation`.
 
 `draw` records only the random choices behind a block of stimuli, one row
 per stimulus, in a `Draws`: classical bits, local state indices, or, for
@@ -23,9 +23,13 @@ its words, its uniform CNOT matching and each CNOT's orientation, as
 states directly as a (B, 2^n) block: one amplitude per row for classical,
 and an outer product of single-qubit states for local. A global row is a
 stabilizer state. One call of `clifford.write_states` takes each row's
-CH-form from |0...0> in polynomial time, one sub-round per update (each
-qubit's Clifford as its form, with at most one H, then the CNOTs), and
-then writes the amplitudes of every row of the block in one pass.
+stabilizer tableau from |0...0> through its sub-rounds in polynomial time
+(each qubit's Clifford as one fixed update of its two tableau columns,
+then the CNOTs), reduces it, and then writes the amplitudes of every row
+of the block in one pass. A tableau fixes a state only up to a global
+phase, so a row of `Draws.prepare` equals the simulated preparation up to
+a global phase, which no fidelity |<.|.>|^2 sees; classical and local rows
+equal it exactly.
 `Draws.prep` rebuilds one row's preparation circuit, which the verifier
 does only for a witness. It assembles the circuit from a per-n table of
 shared gates, built on the first witness at that qubit count, so a witness
@@ -35,16 +39,15 @@ is a draw of one row turned into a `Stimulus`.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
-from itertools import compress, groupby, product
+from itertools import compress, groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, base_matrix
-from .clifford import WordForm, write_states
+from .clifford import conjugation, write_states
 from .simulator import simulate, zero_state
 
 SCHEME_KINDS = ("classical", "local", "global")
@@ -164,33 +167,15 @@ def _single_qubit_cliffords() -> tuple[tuple[GateKind, ...], ...]:
 CLIFFORD_1Q_WORDS = _single_qubit_cliffords()
 
 
-def _word_forms() -> tuple[WordForm, ...]:
-    """Each CLIFFORD_1Q_WORDS word as exp(i pi k / 4) S^c H^b S^a X^x, with
-    no H where the word is diagonal or anti-diagonal: the first of the 64
-    products S^c H^b S^a X^x, taken with b, then x, a and c lowest first,
-    equal to the word up to a phase, and that phase as k."""
-    x_, h_, s_ = (base_matrix(kind) for kind in (GateKind.X, GateKind.H, GateKind.S))
-    eye = np.eye(2, dtype=complex)
-    s_powers = (eye, s_, s_ @ s_, s_ @ s_ @ s_)
-    candidates: dict[tuple, tuple[np.ndarray, tuple[int, int, int, int]]] = {}
-    for b, x, a, c in product((0, 1), (0, 1), range(4), range(4)):
-        candidate = s_powers[c] @ (h_ if b else eye) @ s_powers[a] @ (x_ if x else eye)
-        candidates.setdefault(_canon(candidate), (candidate, (x, a, b, c)))
-    forms = []
-    for word in CLIFFORD_1Q_WORDS:
-        matrix = np.eye(2, dtype=complex)
-        for kind in word:
-            matrix = base_matrix(kind) @ matrix
-        candidate, (x, a, b, c) = candidates[_canon(matrix)]
-        pivot = next(i for i, z in enumerate(candidate.flat) if abs(z) > 1e-9)
-        ratio = matrix.flat[pivot] / candidate.flat[pivot]
-        k = round(math.atan2(ratio.imag, ratio.real) / (math.pi / 4)) % 8
-        forms.append(WordForm(x, a, b, c, k))
-    return tuple(forms)
+def _word_matrix(word: Sequence[GateKind]) -> np.ndarray:
+    matrix = np.eye(2, dtype=complex)
+    for kind in word:
+        matrix = base_matrix(kind) @ matrix
+    return matrix
 
 
-# CLIFFORD_1Q_WORDS[w] as the canonical form that clifford.write_states takes
-_WORD_FORMS = _word_forms()
+# CLIFFORD_1Q_WORDS[w] as the tableau update that clifford.write_states takes
+_CONJUGATIONS = tuple(conjugation(_word_matrix(word)) for word in CLIFFORD_1Q_WORDS)
 
 
 class _GateTable(NamedTuple):
@@ -305,9 +290,10 @@ class Draws:
 
     def prepare(self) -> np.ndarray:
         """The prepared states as a C-contiguous (rows, 2^n) block, row b
-        equal to simulating `prep(b)` on |0...0>, global phase included.
-        Each global row is taken through its own CH-form, its sub-rounds in
-        `prep`'s order, and then every row is written in one pass."""
+        equal to simulating `prep(b)` on |0...0>, for a global row up to a
+        global phase. Each global row is taken through its own tableau, its
+        sub-rounds in `prep`'s order, and then every row is written in one
+        pass."""
         n, rows = self.num_qubits, len(self)
         if self.scheme.kind == "classical":
             block = np.zeros((rows, 1 << n), dtype=complex)
@@ -318,8 +304,8 @@ class Draws:
         block = np.empty((rows, 1 << n), dtype=complex)
         # The lists go with the generator, once write_states has evolved the
         # last row, before it allocates its arrays.
-        write_states(n, _WORD_FORMS, (zip(words, pairs) for words, pairs in
-                                      zip(self.choices.tolist(), self.pairs.tolist())), block)
+        write_states(n, _CONJUGATIONS, (zip(words, pairs) for words, pairs in
+                                        zip(self.choices.tolist(), self.pairs.tolist())), block)
         return block
 
 

@@ -260,7 +260,7 @@ def test_verify_matches_a_stimulus_by_stimulus_loop(n):
 
 def test_global_verify_at_16_qubits_matches_a_stimulus_by_stimulus_loop():
     # n = 16 is the first width where every block is one row, which the
-    # CH-form prepares; the reference simulates each preparation circuit.
+    # tableau prepares; the reference simulates each preparation circuit.
     n = 16
     spec = qft(n)
     rng = RandomSource(78)
@@ -302,7 +302,7 @@ def _first_verify_peak(spec, scheme) -> int:
 
 def test_global_verify_peaks_no_higher_than_a_local_one_at_18_qubits():
     # A verify holds two blocks plus the kernel scratch, whatever the scheme:
-    # a global row's CH-form frees its arrays before the kernel scratch grows.
+    # a global row's write pass frees its arrays before the kernel scratch grows.
     for scheme in (LOCAL, global_scheme()):  # one-time allocations stay out
         verify(ghz(4), ghz(4), VerificationConfig(scheme, max_stimuli=1))
     n = 18

@@ -12,7 +12,7 @@ import pytest
 
 from stimcheck import clifford
 from stimcheck.circuit import Circuit, Gate, GateKind, base_matrix
-from stimcheck.clifford import WordForm, write_states
+from stimcheck.clifford import conjugation, write_states
 from stimcheck.oracle import build_unitary
 from stimcheck.qasm import emit_qasm
 from stimcheck.simulator import simulate, zero_state
@@ -22,7 +22,7 @@ from stimcheck.stimuli import (
     LOCAL,
     LOCAL_PREP_WORDS,
     MAX_LAYERS,
-    _WORD_FORMS,
+    _CONJUGATIONS,
     Draws,
     RandomSource,
     Scheme,
@@ -48,6 +48,26 @@ SIX_STATES = (
 def prep_state(word, num_qubits=1, qubit=0):
     circuit = Circuit(num_qubits, tuple(Gate(kind, qubit) for kind in word))
     return simulate(circuit, zero_state(num_qubits))
+
+
+def word_matrix(word) -> np.ndarray:
+    matrix = np.eye(2, dtype=complex)
+    for kind in word:
+        matrix = base_matrix(kind) @ matrix
+    return matrix
+
+
+# X, Z and Y by their (x, z) bits in a tableau
+PAULIS = {(1, 0): base_matrix(GateKind.X), (0, 1): base_matrix(GateKind.Z),
+          (1, 1): base_matrix(GateKind.Y)}
+
+
+def assert_equal_up_to_phase(row: np.ndarray, expected: np.ndarray, err_msg: str = "") -> None:
+    """`row` equals `expected` within 1e-12 once one unit-modulus factor,
+    their overlap's phase, is divided out."""
+    overlap = np.vdot(expected, row)
+    np.testing.assert_allclose(row / (overlap / abs(overlap)), expected, rtol=0, atol=1e-12,
+                               err_msg=err_msg)
 
 
 class TestScheme:
@@ -147,22 +167,19 @@ class TestClifford1qWords:
                   "SHSSS", "SSHSS", "HSHSSH", "HSHSSS", "HSSHSS"]
         assert CLIFFORD_1Q_WORDS == tuple(tuple(GateKind[c] for c in word) for word in golden)
 
-    def test_word_forms_multiply_out_to_their_words(self):
-        # exp(i pi k / 4) S^c H^b S^a X^x, X applied first, phase included
-        x, h, s = (base_matrix(kind) for kind in (GateKind.X, GateKind.H, GateKind.S))
-        for word, form in zip(CLIFFORD_1Q_WORDS, _WORD_FORMS, strict=True):
-            assert form.x in (0, 1) and form.b in (0, 1), form
-            assert 0 <= form.a < 4 and 0 <= form.c < 4 and 0 <= form.k < 8, form
-            expected = np.eye(2, dtype=complex)
-            for kind in word:
-                expected = base_matrix(kind) @ expected
-            product = (np.exp(1j * np.pi * form.k / 4)
-                       * np.linalg.matrix_power(s, form.c) @ np.linalg.matrix_power(h, form.b)
-                       @ np.linalg.matrix_power(s, form.a) @ np.linalg.matrix_power(x, form.x))
-            np.testing.assert_allclose(product, expected, rtol=0, atol=1e-12,
-                                       err_msg=f"{word} {form}")
-        # 8 of the 24 are diagonal or anti-diagonal and need no H
-        assert sum(form.b for form in _WORD_FORMS) == 16
+    def test_conjugations_map_each_pauli_as_their_word_does(self):
+        # on one qubit and one generator, the masks act on bit 0 of x and z
+        for word, entry in zip(CLIFFORD_1Q_WORDS, _CONJUGATIONS, strict=True):
+            assert set(entry) <= {0, -1}, (word, entry)
+            xx, xz, zx, zz, fx, fz, fy = entry
+            u = word_matrix(word)
+            for (x, z), pauli in PAULIS.items():
+                sign = ((x & fx) ^ (z & fz) ^ (x & z & fy)) & 1
+                image = PAULIS[(x & xx) ^ (z & zx), (x & xz) ^ (z & zz)]
+                np.testing.assert_allclose(u @ pauli @ u.conj().T, (-1) ** sign * image,
+                                           rtol=0, atol=1e-12, err_msg=f"{word} {x}{z}")
+        # 6 symplectic 2x2s, each with 4 sign patterns
+        assert len(set(_CONJUGATIONS)) == 24
 
 
 class TestClassical:
@@ -291,9 +308,13 @@ def test_block_rows_match_simulated_next_stimulus(n, scheme):
             expected = next_stimulus(scheme, n, reference_rng, seed_tag=tag)
             # the witness rebuilt from the row's draws is the same stimulus
             assert draws.stimulus(row, tag) == expected
-            np.testing.assert_allclose(
-                block[row], simulate(expected.prep, zero_state(n)), atol=1e-12,
-                err_msg=f"stimulus {k}")
+            reference = simulate(expected.prep, zero_state(n))
+            if scheme.kind == "global":
+                # a tableau fixes the state up to a global phase
+                assert_equal_up_to_phase(block[row], reference, err_msg=f"stimulus {k}")
+            else:
+                np.testing.assert_allclose(block[row], reference, atol=1e-12,
+                                           err_msg=f"stimulus {k}")
             k += 1
 
 
@@ -505,15 +526,14 @@ def test_global_draws_are_uniform_and_independent_at_n4():
 
 
 def assert_global_rows_equal_simulated_preps(n: int, layers: int | None, rows: int) -> None:
-    # every row goes through its own CH-form; its global phase must match too
+    # every row goes through its own tableau, which fixes it up to a global phase
     for seed in range(8 if n <= 8 else 3):
         draws = draw(global_scheme(layers), n, [RandomSource(310, n, seed)] * rows)
         block = draws.prepare()
         assert block.shape == (rows, 1 << n) and block.flags.c_contiguous
         for row in range(rows):
             expected = simulate(draws.prep(row), zero_state(n))
-            np.testing.assert_allclose(block[row], expected, rtol=0, atol=1e-12,
-                                       err_msg=f"seed {seed}, row {row}")
+            assert_equal_up_to_phase(block[row], expected, err_msg=f"seed {seed}, row {row}")
 
 
 GLOBAL_ROW_QUBITS = [1, 2, 3, 5, 8, 10, 12, 16]
@@ -531,10 +551,10 @@ def test_every_row_of_a_global_block_equals_its_simulated_prep(n, layers):
     assert_global_rows_equal_simulated_preps(n, layers, rows=4)
 
 
-# The 24 word forms, then X, H and S on their own: `write_states`'s table
-# for the circuits below, whose rounds index it.
-TEST_FORMS = (*_WORD_FORMS, WordForm(1, 0, 0, 0, 0), WordForm(0, 0, 1, 0, 0),
-              WordForm(0, 1, 0, 0, 0))
+# The 24 words' updates, then those of X, H and S on their own:
+# `write_states`'s table for the circuits below, whose rounds index it.
+TEST_TABLE = (*_CONJUGATIONS,
+              *(conjugation(base_matrix(kind)) for kind in (GateKind.X, GateKind.H, GateKind.S)))
 GATE_WORDS = {GateKind.X: 24, GateKind.H: 25, GateKind.S: 26}
 IDENTITY_WORD = CLIFFORD_1Q_WORDS.index(())
 
@@ -542,7 +562,7 @@ IDENTITY_WORD = CLIFFORD_1Q_WORDS.index(())
 def random_clifford_circuit(n: int, length: int, gen: np.random.Generator):
     """X, H, S and CX gates and whole CLIFFORD_1Q_WORDS words in any order,
     each of the five equally likely (no CX at n = 1): the circuit, and the
-    same steps as `write_states` rounds over TEST_FORMS, one round per gate
+    same steps as `write_states` rounds over TEST_TABLE, one round per gate
     or word."""
     gates, rounds = [], []
     for _ in range(length):
@@ -566,14 +586,14 @@ def random_clifford_circuit(n: int, length: int, gen: np.random.Generator):
     return Circuit(n, tuple(gates)), rounds
 
 
-def ch_form_states(n: int, rows) -> np.ndarray:
+def tableau_states(n: int, rows) -> np.ndarray:
     out = np.empty((len(rows), 1 << n), dtype=complex)
-    write_states(n, TEST_FORMS, rows, out)
+    write_states(n, TEST_TABLE, rows, out)
     return out
 
 
-def ch_form_state(n: int, rounds) -> np.ndarray:
-    return ch_form_states(n, [rounds])[0]
+def tableau_state(n: int, rounds) -> np.ndarray:
+    return tableau_states(n, [rounds])[0]
 
 
 def random_clifford_circuits():
@@ -585,9 +605,8 @@ def random_clifford_circuits():
 
 def test_ch_form_matches_the_oracle_on_random_clifford_circuits():
     for circuit, rounds in random_clifford_circuits():
-        np.testing.assert_allclose(ch_form_state(circuit.num_qubits, rounds),
-                                   build_unitary(circuit)[:, 0],
-                                   rtol=0, atol=1e-12, err_msg=emit_qasm(circuit))
+        assert_equal_up_to_phase(tableau_state(circuit.num_qubits, rounds),
+                                 build_unitary(circuit)[:, 0], err_msg=emit_qasm(circuit))
 
 
 def circuits_by_qubit_count(circuits):
@@ -600,34 +619,18 @@ def circuits_by_qubit_count(circuits):
 def test_a_block_of_ch_forms_equals_its_rows_written_one_at_a_time():
     # a block of rows takes its tables as (rows,) columns, one row as ints
     for n, rows in circuits_by_qubit_count(random_clifford_circuits()).items():
-        np.testing.assert_array_equal(ch_form_states(n, rows),
-                                      [ch_form_state(n, rounds) for rounds in rows])
+        np.testing.assert_array_equal(tableau_states(n, rows),
+                                      [tableau_state(n, rounds) for rounds in rows])
 
 
-def test_the_h_update_tables_hold_every_case_of_h_decompose():
-    # H^h (|0> + i^delta |1>) = sqrt(2) exp(i pi k / 4) S^a H^b |c>, and the
-    # H update in _evolve reads the case (h, delta) at 4 h + delta
-    h_gate, s_gate = base_matrix(GateKind.H), base_matrix(GateKind.S)
-    assert len(clifford._H_RIGHT_S) == len(clifford._H_ENDS) == 8
-    for h, delta in itertools.product((0, 1), range(4)):
-        a, b, c, k = clifford._h_decompose(h, delta)
-        case = 4 * h + delta
-        assert (clifford._H_RIGHT_S[case], *clifford._H_ENDS[case]) == (a, b, c, k)
-        state = np.linalg.matrix_power(h_gate, h) @ np.array([1, 1j ** delta])
-        form = (math.sqrt(2) * np.exp(1j * np.pi * k / 4) * np.linalg.matrix_power(s_gate, a)
-                @ np.linalg.matrix_power(h_gate, b) @ np.eye(2)[c])
-        np.testing.assert_allclose(state, form, rtol=0, atol=1e-12, err_msg=f"{h} {delta}")
-
-
-def test_every_branch_of_the_h_update_is_hit():
-    # Every line of the H update in _evolve runs, so each branch's body
-    # runs: t == u, the CX and CZ column operations when t and u differ off
-    # v, the CX ones when they differ on v only, the swap of t and u, and
-    # the right S that a case of _h_decompose may ask for. Every other line
-    # of write_states and of _evolve runs too: in its rounds X, S^a with a
-    # odd and a = 2, S^c with c odd and c = 2, the phase k and the CNOT
-    # update, and the write of one row and of a block of rows.
-    codes = {clifford._evolve.__code__, write_states.__code__}
+def test_every_line_of_the_tableau_update_and_write_runs():
+    # Every line of `conjugation`, `_evolve`, `_reduce`, `_write` and
+    # `write_states` runs on the oracle test's circuits: in `_reduce`, a
+    # generator left with no X part, a new pivot that clears its bit from
+    # the earlier ones, the same in the elimination that solves for s0, and
+    # a bit that is no pivot; in `_write`, one row and a block of rows.
+    codes = {clifford.conjugation.__code__, clifford._evolve.__code__,
+             clifford._reduce.__code__, clifford._write.__code__, write_states.__code__}
     ran = set()
 
     def trace_lines(frame, event, arg):
@@ -638,26 +641,56 @@ def test_every_branch_of_the_h_update_is_hit():
     def trace_calls(frame, event, arg):
         return trace_lines if frame.f_code in codes else None
 
-    # the oracle test checks the same circuits' states
     circuits = list(random_clifford_circuits())
     previous = sys.gettrace()
     sys.settrace(trace_calls)
     try:
+        for kind in (GateKind.X, GateKind.H, GateKind.S):
+            conjugation(base_matrix(kind))
         for circuit, rounds in circuits:
-            ch_form_state(circuit.num_qubits, rounds)
+            tableau_state(circuit.num_qubits, rounds)
         for n, rows in circuits_by_qubit_count(circuits).items():
-            ch_form_states(n, rows)
+            tableau_states(n, rows)
     finally:
         sys.settrace(previous)
     lines = {(code.co_name, line) for code in codes for _, _, line in code.co_lines()
              if line is not None and line != code.co_firstlineno}
-    assert {name for name, _ in lines} == {"_evolve", "write_states"}
+    assert {name for name, _ in lines} == {"conjugation", "_evolve", "_reduce", "_write",
+                                           "write_states"}
     assert lines - ran == set()
 
 
-def test_one_row_global_prepare_peaks_below_two_states_at_20_qubits():
-    n = 20
-    draws = draw(global_scheme(), n, [RandomSource(312)])
+def assert_generators_stabilize_their_rows(n: int, rows) -> None:
+    """Each generator of each row's tableau, applied to the row as a
+    circuit of X, Y and Z gates, gives the row back."""
+    states = tableau_states(n, rows)
+    kinds = {(1, 0): GateKind.X, (0, 1): GateKind.Z, (1, 1): GateKind.Y}
+    for rounds, state in zip(rows, states):
+        X, Z, r = clifford._evolve(n, TEST_TABLE, rounds)
+        for g in range(n):
+            bits = [((X[q] >> g) & 1, (Z[q] >> g) & 1) for q in range(n)]
+            pauli = Circuit(n, tuple(Gate(kinds[b], q) for q, b in enumerate(bits) if any(b)))
+            sign = -1 if (r >> g) & 1 else 1
+            np.testing.assert_allclose(sign * simulate(pauli, state.copy()), state,
+                                       rtol=0, atol=1e-12, err_msg=f"generator {g}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+def test_every_generator_stabilizes_its_row(n):
+    for layers in (1, None):
+        draws = draw(global_scheme(layers), n, [RandomSource(314, n)] * 3)
+        assert_generators_stabilize_their_rows(
+            n, [list(zip(words, pairs)) for words, pairs in
+                zip(draws.choices.tolist(), draws.pairs.tolist())])
+    # and on circuits of single gates and words in any order
+    circuits = circuits_by_qubit_count(random_clifford_circuits())
+    if n in circuits:
+        assert_generators_stabilize_their_rows(n, circuits[n])
+
+
+def one_row_global_prepare_peak(n: int, seed: int) -> int:
+    """The tracemalloc peak of one one-row global `prepare` at n qubits."""
+    draws = draw(global_scheme(), n, [RandomSource(seed)])
     peaks = []
 
     def prepare():
@@ -673,11 +706,25 @@ def test_one_row_global_prepare_peaks_below_two_states_at_20_qubits():
     thread = threading.Thread(target=prepare)
     thread.start()
     thread.join()
-    assert peaks[0] < 2 * (1 << n) * 16
+    return peaks[0]
+
+
+def test_one_row_global_prepare_peaks_below_two_states_at_20_qubits():
+    n = 20
+    assert one_row_global_prepare_peak(n, 312) < 2 * (1 << n) * 16
+
+
+def test_one_row_global_prepare_peaks_below_one_and_a_half_states_at_16_qubits():
+    # The block and the write pass's 6 bytes per amplitude, about 1.44
+    # states: an n = 16 verify allocates and frees these buffers, and a
+    # larger one, freed, moves glibc's heap thresholds under every later
+    # allocation of the process.
+    n = 16
+    assert one_row_global_prepare_peak(n, 315) < 1.5 * (1 << n) * 16
 
 
 def test_concurrent_one_row_global_prepares_match_sequential_ones():
-    # Each CH-form writes through arrays of its own, and numpy releases the
+    # Each prepare writes through arrays of its own, and numpy releases the
     # interpreter lock inside its passes over them.
     n = 12
     draws = [draw(global_scheme(), n, [RandomSource(313, k)]) for k in range(4)]
