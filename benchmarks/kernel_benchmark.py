@@ -3,8 +3,10 @@
 verifier's block stimulus engine.
 
 1. The time per amplitude of one gate from each update class of the numpy
-   kernel: u1 (diagonal), cx (anti-diagonal, one control) and h (dense),
-   each applied to every target in turn, at n = 4, 8, ..., max-qubits.
+   kernel: u1 (diagonal), cu1 (diagonal, one control), cx (anti-diagonal,
+   one control) and h (dense), each applied to every target in turn, at
+   n = 4, 8, ..., max-qubits; and the floor they are measured against, one
+   in-place `np.multiply` of the whole state by a scalar.
 2. For qft(16) and one global stimulus at n = 16: the gate count, the
    kernel-op count `compile_ops` makes of them, and the best time per
    `simulate`.
@@ -73,17 +75,22 @@ from stimcheck.stimuli import (
 # one gate per update class, as a function of (target, num_qubits)
 CLASS_GATES = {
     "u1": lambda t, n: Gate(GateKind.PHASE, t, params=(0.3,)),
+    "cu1": lambda t, n: Gate(GateKind.PHASE, t, controls=((t + 1) % n,), params=(0.3,)),
     "cx": lambda t, n: Gate(GateKind.X, t, controls=((t + 1) % n,)),
     "h": lambda t, n: Gate(GateKind.H, t),
 }
 
 
+def random_state(num_qubits: int) -> np.ndarray:
+    rng = np.random.default_rng(num_qubits)
+    amps = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
+    return amps / np.linalg.norm(amps)
+
+
 def ns_per_amp(gate_class: str, num_qubits: int, repeats: int) -> float:
     """Best-of-`repeats` kernel time per gate, averaged over all targets,
     divided by the 2^n amplitudes of the state."""
-    rng = np.random.default_rng(num_qubits)
-    amps = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
-    amps /= np.linalg.norm(amps)
+    amps = random_state(num_qubits)
     calls = []
     for target in range(num_qubits):
         gate = CLASS_GATES[gate_class](target, num_qubits)
@@ -99,6 +106,21 @@ def ns_per_amp(gate_class: str, num_qubits: int, repeats: int) -> float:
                 kernels.apply_2x2(amps, num_qubits, *args)
         best = min(best, (time.perf_counter() - start) / (loops * len(calls)))
     return best / amps.size * 1e9
+
+
+def floor_ns_per_amp(num_qubits: int, repeats: int) -> float:
+    """Best-of-`repeats` time of one in-place `np.multiply` of the state by
+    a unit scalar, per amplitude: one read and one write of every
+    amplitude, the least any update of the whole state costs."""
+    amps = random_state(num_qubits)
+    phase = np.exp(0.3j)
+    loops = max(1, (1 << 16) >> num_qubits)
+
+    def multiply():
+        for _ in range(loops):
+            np.multiply(amps, phase, out=amps)
+
+    return best_seconds(multiply, repeats) / loops / amps.size * 1e9
 
 
 def best_seconds(step, repeats: int) -> float:
@@ -123,8 +145,9 @@ def block_engine_row(scheme, num_qubits: int, rows: int, repeats: int) -> tuple[
     prepared = draws.prepare()
 
     def simulate_both():
-        out_spec = prepared.copy()
-        out_impl = prepared.copy()
+        # copies in the block's own layout, as verify makes them
+        out_spec = prepared.copy(order="K")
+        out_impl = prepared.copy(order="K")
         run_ops(out_spec, num_qubits, ops)
         run_ops(out_impl, num_qubits, ops)
 
@@ -194,9 +217,11 @@ def main() -> None:
     tables: dict[str, list[dict]] = {}
 
     print(f"kernel: {kernels.backend_name()}")
-    show(tables, "kernel_ns_per_amp", "ns per amplitude, mean over targets:",
-         [("qubits", 6, "d")] + [(name, 8, ".2f") for name in CLASS_GATES],
-         [{"qubits": n, **{name: ns_per_amp(name, n, args.repeats) for name in CLASS_GATES}}
+    show(tables, "kernel_ns_per_amp",
+         "ns per amplitude, mean over targets, and one in-place multiply of the state:",
+         [("qubits", 6, "d")] + [(name, 8, ".2f") for name in (*CLASS_GATES, "floor")],
+         [{"qubits": n, **{name: ns_per_amp(name, n, args.repeats) for name in CLASS_GATES},
+           "floor": floor_ns_per_amp(n, args.repeats)}
           for n in range(4, args.max_qubits + 1, 4)])
 
     circuits = (("qft(16)", qft(16)),

@@ -2,7 +2,7 @@
 
 Subcommands: verify, bench, mutate, gen-circuits, oracle-check.
 Exit codes for verify: 0 = no discrepancy found, 1 = error detected,
-2 = usage/IO/parse error.
+2 = usage/IO/parse error, or out of memory.
 """
 from __future__ import annotations
 
@@ -63,7 +63,11 @@ def _cmd_verify(args) -> int:
     impl = load_circuit(args.impl)
     scheme = Scheme(args.scheme, args.layers)
     config = VerificationConfig(scheme, args.max_stimuli, args.epsilon, args.seed)
-    report = verify(spec, impl, config)
+    try:
+        report = verify(spec, impl, config)
+    except MemoryError:
+        raise MemoryError(f"verifying {spec.num_qubits}-qubit circuits needs more memory "
+                          "than is free") from None
     detected = report.verdict is Verdict.ERROR_DETECTED
     print(f"verdict: {'error detected' if detected else 'no discrepancy found (budget exhausted)'}")
     print(f"scheme: {args.scheme}")
@@ -307,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

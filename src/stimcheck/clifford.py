@@ -186,12 +186,12 @@ def _reduce(n: int, X: list[int], Z: list[int], r: int):
 def write_states(n: int, table: Sequence[tuple[int, ...]],
                  rows: Iterable[Iterable[tuple[Sequence[int], Iterable[Sequence[int]]]]],
                  out: np.ndarray) -> None:
-    """Write into row r of the (rows, 2^n) block `out` the amplitudes,
-    qubit 0 the least significant bit of the index, of |0...0> after the
-    r-th rounds of `rows`, up to a global phase per row. Each round is
-    (words, cnots): the Clifford whose `conjugation` is `table[words[q]]`
-    on each qubit q, then a CX for each (control, target) of `cnots`, in
-    order. Every row's tableau is evolved and reduced first, and `rows`
+    """Write into row r of the (rows, 2^n) block `out`, best column-major,
+    the amplitudes, qubit 0 the least significant bit of the index, of
+    |0...0> after the r-th rounds of `rows`, up to a global phase per row.
+    Each round is (words, cnots): the Clifford whose `conjugation` is
+    `table[words[q]]` on each qubit q, then a CX for each (control, target)
+    of `cnots`, in order. Every row's tableau is evolved and reduced first, and `rows`
     is used up before the write allocates anything of the block's size."""
     _write(n, (_reduce(n, *_evolve(n, table, rounds)) for rounds in rows), out)
 
@@ -199,8 +199,7 @@ def write_states(n: int, table: Sequence[tuple[int, ...]],
 def _write(n: int, rows: Iterable[tuple[list, list, list]], out: np.ndarray) -> None:
     """Write row r of `out` from the r-th tables of `rows`, as `_reduce`
     gives them, used up before anything of the block's size is allocated.
-    The
-    amplitude at x is the phase table's entry theta(x), where
+    The amplitude at x is the phase table's entry theta(x), where
     L(x) = sum_p x_p off_v[p] equals s0 and 0 elsewhere: L(x) = x ^ sum_i
     x_(p_i) x_i is s0 exactly on the support, because s0 and every x_k
     with k != i are 0 at x_i's pivot p_i, and there theta(x) is the sum of
@@ -210,7 +209,8 @@ def _write(n: int, rows: Iterable[tuple[list, list, list]], out: np.ndarray) -> 
     uint8, so the numpy calls of the pass are paid once per block: 6 bytes
     per amplitude of arrays of its own, freed when it returns, before the
     verifier copies the block for spec and impl. A table lookup then writes
-    each row of `out`, by chunks and with clipped indices, so that
+    `out`, column-major as `Draws.prepare` allocates it, by chunks of
+    amplitudes of all rows at once and with clipped indices, so that
     `np.take` copies only a chunk of theta at a time and never buffers
     `out`.
     """
@@ -248,11 +248,21 @@ def _write(n: int, rows: Iterable[tuple[list, list, list]], out: np.ndarray) -> 
     mask = step.view(bool)
     np.not_equal(xf, off_v[n], out=mask)
     np.putmask(theta, mask, 4)  # off the support
-    # `take` copies its uint8 indices to intp, and in its default "raise"
-    # mode it also writes through a copy of `out`; chunks bound the first
-    # copy to 64 KB, and "clip", a no-op on indices 0..4, avoids the second.
-    columns = theta.reshape(size, count)
-    for r, table in enumerate(phases):
-        for start in range(0, size, _TAKE_CHUNK):
-            stop = start + _TAKE_CHUNK
-            np.take(table, columns[start:stop, r], out=out[r, start:stop], mode="clip")
+    # Entry 5 r + theta of the flat phase tables is row r's amplitude, and
+    # `out.T` is amplitude-major like theta, so one `take` writes a chunk of
+    # amplitudes of every row. `take` copies its indices to intp, and in its
+    # default "raise" mode it also writes through a copy of `out`; chunks of
+    # about 8192 indices bound the first copy to 64 KB, and "clip", a no-op
+    # on valid indices, avoids the second. One row takes theta's uint8
+    # entries as they are.
+    flat = phases.ravel()
+    columns = out.T.reshape(shape)
+    chunk = max(1, _TAKE_CHUNK // count)
+    if count > 1:
+        offsets = 5 * np.arange(count)
+        shifted = np.empty((chunk, count), dtype=np.intp)
+    for start in range(0, size, chunk):
+        indices = theta[start:start + chunk]
+        if count > 1:
+            indices = np.add(indices, offsets, out=shifted[:len(indices)])
+        np.take(flat, indices, out=columns[start:start + chunk], mode="clip")

@@ -4,7 +4,8 @@ exhausted.
 
 `verify` and `verify_exhaustive_local` share one block engine. Each verify
 compiles the specification and the realization once. Stimuli are drawn and
-prepared as blocks of B rows of a (B, 2^n) array, with B = 1, 16, 256, ...
+prepared as blocks of B rows of a column-major (B, 2^n) array, rows
+innermost as `kernels.apply_2x2` takes them, with B = 1, 16, 256, ...
 capped by the remaining budget, so a 16-stimulus budget runs in two blocks
 of 1 and 15 rows: the first stimulus alone, since a faulty realization is
 most often caught there, and the rest in one round of kernel calls. A
@@ -17,17 +18,18 @@ count of each block. A global block is prepared by one call of
 |0...0> through every sub-round in time polynomial in n, reduces it, and
 then writes the 2^n amplitudes of all rows in one pass, each row up to a
 global phase, which the fidelity does not see. The specification runs in
-place on the prepared block and the realization on one copy, so two
-blocks are live; both are freed before the next block is prepared. A row
-is a state, a (2^n,) array as in `simulator`, so `fidelity` compares rows
-as they are. Only the row that detects an error gets its preparation
-circuit rebuilt, as the witness, from its recorded draws; the circuit is
-assembled from a per-n table of shared gates (`stimuli._gate_table`), not
-built gate by gate.
+place on the prepared block and the realization on one copy in the same
+layout, so two blocks are live; both are freed before the next block is
+prepared. A row is a state, a strided (2^n,) array, so `fidelity`
+compares rows as they are. Only the row that detects an error gets its
+preparation circuit rebuilt, as the witness, from its recorded draws; the
+circuit is assembled from a per-n table of shared gates
+(`stimuli._gate_table`), not built gate by gate.
 
 `trace_fidelity` takes the same block step on classical stimuli, the
 consecutive computational basis states 0, 1, ..., 2^n - 1, and sums
-tr(U_spec† U_impl) = Σ_i <U_spec i|U_impl i> block by block. From the trace
+tr(U_spec† U_impl) = Σ_i <U_spec i|U_impl i> block by block, one `vdot`
+over each pair of blocks' contiguous transposes. From the trace
 it gives, exactly, the entanglement and average gate fidelities that
 `oracle.py` computes from products of full gate matrices. It costs 2^n
 simulations of each circuit and reaches EXACT_LIMIT qubits.
@@ -116,7 +118,7 @@ def _run_block(draws: Draws, n: int, spec_ops, impl_ops) -> tuple[np.ndarray, np
     caller frees both before it prepares the next block, so that two
     blocks are live, not three."""
     out_spec = draws.prepare()
-    out_impl = out_spec.copy()
+    out_impl = out_spec.copy(order="K")
     run_ops(out_spec, n, spec_ops)
     run_ops(out_impl, n, impl_ops)
     return out_spec, out_impl
@@ -218,7 +220,8 @@ def trace_fidelity(spec: Circuit, impl: Circuit) -> tuple[float, float]:
         indices = np.arange(first, min(first + max_rows, dim))
         bits = (indices[:, None] >> np.arange(n)) & 1
         out_spec, out_impl = _run_block(Draws(CLASSICAL, bits), n, spec_ops, impl_ops)
-        trace += complex(np.vdot(out_spec, out_impl))
+        # the transposes are C-contiguous, so vdot flattens them without a copy
+        trace += complex(np.vdot(out_spec.T, out_impl.T))
         del out_spec, out_impl
     f_ent = min(max(abs(trace) ** 2 / 4.0**n, 0.0), 1.0)
     return f_ent, (dim * f_ent + 1.0) / (dim + 1.0)

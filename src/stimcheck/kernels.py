@@ -7,10 +7,17 @@ to end and removed: 1.4-1.7x faster on small states, 3.1x slower on
 
 It takes one state of shape (2^n,) or a block of states of shape (B, 2^n),
 one state per row, and applies the same 2x2 to every row in one call. A
-block must be C-contiguous, so that the rows of an uncontrolled update fold
-into one `(hi, 2, lo)` view. Blocks amortize the per-call cost that
-dominates at small n; from n = 16 on the verifier runs one row per block,
-because wider blocks measured slower per stimulus there.
+block is stored column-major (Fortran order), so that the rows are
+innermost: amplitude i of every row lies in one contiguous run of B, and
+the amplitudes below bit q of all rows in one run of 2^q * B. Each update
+views `amps.T` with the run of free qubits between two gate qubits merged
+into one axis, at most 2 (controls + 1) + 1 axes, so numpy's inner loops
+run over whole runs rather than over the one or two amplitudes a
+(B, 2, ..., 2) view of a row-major block would leave them. A state or
+block laid out otherwise raises a ValueError rather than updating a copy.
+Blocks amortize the per-call cost that dominates at small n; from n = 16 on
+the verifier runs one row per block, because wider blocks measured slower
+per stimulus there.
 
 The anti-diagonal and dense updates write their temporaries into a pair of
 half-state scratch buffers instead of allocating per gate. Each thread has
@@ -21,6 +28,7 @@ The pair is private to `apply_2x2`.
 """
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -63,27 +71,41 @@ def _scratch_like(x):
     return views
 
 
+@functools.lru_cache(maxsize=4096)
+def _plan(num_qubits, target, control_mask):
+    """(shape, index of x0, index of x1): the shape that `amps.T` is viewed
+    in for an update, from the most significant qubit down, each run of
+    free qubits as one axis, each gate qubit as an axis of 2, and last,
+    with extent -1, the qubits below the lowest gate qubit times the rows,
+    so that it does not depend on the row count; and the indices of the
+    halves whose target bit is 0 and 1 and whose control bits are all 1."""
+    gate_mask = control_mask | 1 << target
+    shape, index0, index1 = [], [], []
+    top = num_qubits
+    for q in reversed(range(num_qubits)):
+        if not gate_mask >> q & 1:
+            continue
+        if top - q > 1:
+            shape.append(1 << (top - q - 1))
+            index0.append(slice(None))
+            index1.append(slice(None))
+        shape.append(2)
+        index0.append(0 if q == target else 1)
+        index1.append(1)
+        top = q
+    shape.append(-1)
+    return tuple(shape), tuple(index0), tuple(index1)
+
+
 def _halves(amps, num_qubits, target, control_mask):
     """Views of the amplitudes whose target bit is 0 and 1, restricted to
     indices where all control bits are set, across every row."""
-    if not control_mask:
-        view = amps.reshape(-1, 2, 1 << target)
-        return view[:, 0], view[:, 1]
-    n = num_qubits
-    # axis 0 holds the rows (one for a single state); it also keeps each half
-    # a view when every other qubit is a control. Qubit q is on axis n - q.
-    view = amps.reshape(-1, *(2,) * n)
-    index = [slice(None)] * (n + 1)
-    mask = control_mask
-    while mask:
-        low = mask & -mask
-        index[n + 1 - low.bit_length()] = 1
-        mask ^= low
-    t_axis = n - target
-    index[t_axis] = 0
-    x0 = view[tuple(index)]
-    index[t_axis] = 1
-    return x0, view[tuple(index)]
+    if not amps.flags.f_contiguous:
+        raise ValueError("a state must be contiguous and a block of states column-major, "
+                         "with its rows innermost")
+    shape, index0, index1 = _plan(num_qubits, target, control_mask)
+    view = amps.T.reshape(shape)
+    return view[index0], view[index1]
 
 
 def apply_2x2(amps, num_qubits, target, control_mask, m00, m01, m10, m11):

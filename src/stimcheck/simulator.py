@@ -8,7 +8,8 @@ fusing each run of uncontrolled gates on one qubit into a single 2x2 (a
 diagonal run keeps fusing across gates that act diagonally on its qubit)
 and cancelling CNOT pairs around a diagonal, and `run_ops` hands each op to
 `kernels.apply_2x2`, on one state or on every row of a (B, 2^n) block of
-states in one call. `simulate` compiles its circuit afresh on every call,
+states in one call; a block is stored column-major, rows innermost, as the
+kernel requires. `simulate` compiles its circuit afresh on every call,
 so no circuit carries a cache; the verifier compiles each circuit once per
 verify and runs the ops on blocks of stimuli.
 """
@@ -158,7 +159,7 @@ def simulate(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
 
 def run_ops(amps: np.ndarray, num_qubits: int, ops: tuple[tuple, ...]) -> None:
     """Apply compiled kernel ops in place to one state (2^n,) or to every row
-    of a block (B, 2^n)."""
+    of a column-major block (B, 2^n)."""
     apply_2x2 = kernels.apply_2x2
     for op in ops:
         apply_2x2(amps, num_qubits, *op)

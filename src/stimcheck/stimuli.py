@@ -20,7 +20,8 @@ depend on the block it is drawn in. Classical and local rows come from one
 from one `random` call, a fixed count of doubles per sub-round that give
 its words, its uniform CNOT matching and each CNOT's orientation, as
 `_draw_global` defines. `Draws.prepare` builds the prepared
-states directly as a (B, 2^n) block: one amplitude per row for classical,
+states directly as a (B, 2^n) block, stored column-major so that the rows
+are innermost, as the kernel takes it: one amplitude per row for classical,
 and an outer product of single-qubit states for local. A global row is a
 stabilizer state. One call of `clifford.write_states` takes each row's
 stabilizer tableau from |0...0> through its sub-rounds in polynomial time
@@ -289,19 +290,20 @@ class Draws:
         return Stimulus(self.prep(row), self.scheme, seed_tag)
 
     def prepare(self) -> np.ndarray:
-        """The prepared states as a C-contiguous (rows, 2^n) block, row b
-        equal to simulating `prep(b)` on |0...0>, for a global row up to a
-        global phase. Each global row is taken through its own tableau, its
-        sub-rounds in `prep`'s order, and then every row is written in one
-        pass."""
+        """The prepared states as a (rows, 2^n) block stored column-major,
+        so that the rows are innermost, as `kernels.apply_2x2` takes a
+        block; row b equals simulating `prep(b)` on |0...0>, for a global
+        row up to a global phase. Each global row is taken through its own
+        tableau, its sub-rounds in `prep`'s order, and then every row is
+        written in one pass."""
         n, rows = self.num_qubits, len(self)
         if self.scheme.kind == "classical":
-            block = np.zeros((rows, 1 << n), dtype=complex)
+            block = np.zeros((rows, 1 << n), dtype=complex, order="F")
             block[np.arange(rows), self.choices @ (1 << np.arange(n))] = 1.0
             return block
         if self.scheme.kind == "local":
             return _product(_LOCAL_STATES[self.choices])
-        block = np.empty((rows, 1 << n), dtype=complex)
+        block = np.empty((rows, 1 << n), dtype=complex, order="F")
         # The lists go with the generator, once write_states has evolved the
         # last row, before it allocates its arrays.
         write_states(n, _CONJUGATIONS, (zip(words, pairs) for words, pairs in
@@ -310,17 +312,19 @@ class Draws:
 
 
 def _product(states: np.ndarray) -> np.ndarray:
-    """(rows, n, 2) single-qubit states -> (rows, 2^n) product states, with
-    qubit 0 the least significant bit of the amplitude index. Built in place:
-    after qubit q, the first 2^(q+1) amplitudes of a row hold the product
-    state of qubits 0..q."""
+    """(rows, n, 2) single-qubit states -> (rows, 2^n) product states,
+    column-major, with qubit 0 the least significant bit of the amplitude
+    index. Built in place on the transpose, amplitude-major: after qubit q,
+    its first 2^(q+1) amplitudes hold the product state of qubits 0..q of
+    every row."""
     rows, n, _ = states.shape
-    block = np.empty((rows, 1 << n), dtype=complex)
-    block[:, :2] = states[:, 0]
+    block = np.empty((rows, 1 << n), dtype=complex, order="F")
+    columns = block.T
+    columns[:2] = states[:, 0].T
     for q in range(1, n):
-        low, high = block[:, :1 << q], block[:, 1 << q:2 << q]
-        np.multiply(states[:, q, 1, None], low, out=high)
-        low *= states[:, q, 0, None]
+        low, high = columns[:1 << q], columns[1 << q:2 << q]
+        np.multiply(states[:, q, 1], low, out=high)
+        low *= states[:, q, 0]
     return block
 
 

@@ -66,6 +66,19 @@ class TestVerify:
         assert captured.err.startswith(f"error: cannot write the witness to {witness}")
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_out_of_memory_exits_two_and_names_the_qubit_count(self, ghz_file, capsys,
+                                                               monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 256. MiB for an array")
+
+        monkeypatch.setattr(cli, "verify", no_memory)
+        code = main(["verify", ghz_file, ghz_file])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: out of memory: verifying 3-qubit circuits needs more "
+                                "memory than is free\n")
+
     def test_no_witness_file_when_nothing_is_detected(self, ghz_file, tmp_path):
         witness = tmp_path / "w.qasm"
         code = main(["verify", ghz_file, ghz_file, "--max-stimuli", "2",

@@ -196,6 +196,38 @@ def test_apply_gate_matches_oracle_for_every_target_and_control_set(kind, params
                                            atol=1e-12, err_msg=str(gate))
 
 
+@pytest.mark.parametrize("kind,params", KERNEL_CASES,
+                         ids=["-".join([k.value, *map(str, p)]) for k, p in KERNEL_CASES])
+def test_a_block_update_equals_its_rows_updated_one_at_a_time(kind, params):
+    # a 15-row block, column-major as verify runs it, against each row as
+    # a state of its own, which the test above checks against the oracle
+    n, rows = 4, 15
+    rng = np.random.default_rng(2025)
+    block = np.asfortranarray(rng.standard_normal((rows, 1 << n))
+                              + 1j * rng.standard_normal((rows, 1 << n)))
+    for target in range(n):
+        others = [q for q in range(n) if q != target]
+        for k in range(n):
+            for controls in itertools.combinations(others, k):
+                gate = Gate(kind, target, controls, params)
+                out = block.copy(order="F")
+                kernels.apply_2x2(out, n, target, sum(1 << c for c in controls),
+                                  *gate.matrix().ravel())
+                expected = [apply_gate(row.copy(), gate) for row in block]
+                np.testing.assert_allclose(out, expected, atol=1e-12, err_msg=str(gate))
+
+
+def test_the_kernel_rejects_a_layout_it_would_update_a_copy_of():
+    n = 4
+    rng = np.random.default_rng(2026)
+    row_major = rng.standard_normal((15, 1 << n)) + 1j * rng.standard_normal((15, 1 << n))
+    for amps in (row_major, np.asfortranarray(row_major)[0]):
+        before = amps.copy()
+        with pytest.raises(ValueError, match="rows innermost"):
+            kernels.apply_2x2(amps, n, 1, 0b100, 0j, 1 + 0j, 1 + 0j, 0j)
+        np.testing.assert_array_equal(amps, before)
+
+
 def circuit_with_runs(num_qubits: int, seed: int) -> Circuit:
     """Random gates with rotations and Toffolis, each followed by a run of up
     to four single-qubit gates on one random qubit, which compile_ops fuses."""
@@ -303,7 +335,7 @@ def test_dropped_identity_ops_leave_every_state_bitwise_equal(monkeypatch):
         dropped += len(kept) - len(ops)
         rng = np.random.default_rng(k)
         block = rng.standard_normal((3, 1 << n)) + 1j * rng.standard_normal((3, 1 << n))
-        without, with_identities = block.copy(), block.copy()
+        without, with_identities = block.copy(order="F"), block.copy(order="F")
         run_ops(without, n, ops)
         run_ops(with_identities, n, kept)
         np.testing.assert_array_equal(without, with_identities, err_msg=circuit.name)

@@ -302,7 +302,7 @@ def test_block_rows_match_simulated_next_stimulus(n, scheme):
     for rows in BLOCK_SIZES:
         draws = draw(scheme, n, [block_rng] * rows)
         block = draws.prepare()
-        assert block.shape == (rows, 1 << n) and block.flags.c_contiguous
+        assert block.shape == (rows, 1 << n) and block.flags.f_contiguous
         for row in range(rows):
             tag = f"300:{k}"
             expected = next_stimulus(scheme, n, reference_rng, seed_tag=tag)
@@ -530,7 +530,7 @@ def assert_global_rows_equal_simulated_preps(n: int, layers: int | None, rows: i
     for seed in range(8 if n <= 8 else 3):
         draws = draw(global_scheme(layers), n, [RandomSource(310, n, seed)] * rows)
         block = draws.prepare()
-        assert block.shape == (rows, 1 << n) and block.flags.c_contiguous
+        assert block.shape == (rows, 1 << n) and block.flags.f_contiguous
         for row in range(rows):
             expected = simulate(draws.prep(row), zero_state(n))
             assert_equal_up_to_phase(block[row], expected, err_msg=f"seed {seed}, row {row}")
@@ -587,7 +587,7 @@ def random_clifford_circuit(n: int, length: int, gen: np.random.Generator):
 
 
 def tableau_states(n: int, rows) -> np.ndarray:
-    out = np.empty((len(rows), 1 << n), dtype=complex)
+    out = np.empty((len(rows), 1 << n), dtype=complex, order="F")
     write_states(n, TEST_TABLE, rows, out)
     return out
 
