@@ -5,8 +5,9 @@ verifier's block stimulus engine.
 1. The time per amplitude of one gate from each update class of the numpy
    kernel: u1 (diagonal), cu1 (diagonal, one control), cx (anti-diagonal,
    one control) and h (dense), each applied to every target in turn, at
-   n = 4, 8, ..., max-qubits; and the floor they are measured against, one
-   in-place `np.multiply` of the whole state by a scalar.
+   n = 4, 8, ..., max-qubits; the floor they are measured against, one
+   in-place `np.multiply` of the whole state by a scalar; and each class as
+   a multiple of that floor.
 2. For qft(16) and one global stimulus at n = 16: the gate count, the
    kernel-op count `compile_ops` makes of them, and the best time per
    `simulate`.
@@ -217,12 +218,20 @@ def main() -> None:
     tables: dict[str, list[dict]] = {}
 
     print(f"kernel: {kernels.backend_name()}")
+    kernel_rows = []
+    for n in range(4, args.max_qubits + 1, 4):
+        times = {name: ns_per_amp(name, n, args.repeats) for name in CLASS_GATES}
+        floor = floor_ns_per_amp(n, args.repeats)
+        kernel_rows.append({"qubits": n, **times, "floor": floor,
+                            **{f"{name}/floor": t / floor for name, t in times.items()}})
     show(tables, "kernel_ns_per_amp",
-         "ns per amplitude, mean over targets, and one in-place multiply of the state:",
-         [("qubits", 6, "d")] + [(name, 8, ".2f") for name in (*CLASS_GATES, "floor")],
-         [{"qubits": n, **{name: ns_per_amp(name, n, args.repeats) for name in CLASS_GATES},
-           "floor": floor_ns_per_amp(n, args.repeats)}
-          for n in range(4, args.max_qubits + 1, 4)])
+         "ns per amplitude, mean over targets, each beside its multiple of the floor, "
+         "one in-place multiply of the state:",
+         [("qubits", 6, "d")]
+         + [column for name in CLASS_GATES for column in ((name, 8, ".2f"),
+                                                           (f"{name}/floor", 9, ".1f"))]
+         + [("floor", 8, ".2f")],
+         kernel_rows)
 
     circuits = (("qft(16)", qft(16)),
                 ("global n=16", next_stimulus(global_scheme(), 16, RandomSource(16)).prep))

@@ -25,7 +25,8 @@ from typing import TextIO
 import numpy as np
 
 from .circuit import Circuit
-from .equivalence import DEFAULT_EPSILON, DEFAULT_MAX_STIMULI, Verdict, VerificationConfig, verify
+from .equivalence import (
+    DEFAULT_EPSILON, DEFAULT_MAX_STIMULI, Verdict, VerificationConfig, check_epsilon, verify)
 from .mutation import ErrorOption, MutationError, is_functional_mutation, mutate
 from .qasm import load_circuit
 from .stimuli import RandomSource, Scheme
@@ -52,6 +53,7 @@ class BenchmarkConfig:
     def __post_init__(self):
         if self.error_seeds < 1 or self.stimuli_seeds < 1:
             raise ValueError("seed counts must be at least 1")
+        check_epsilon(self.epsilon)
 
 
 @dataclass

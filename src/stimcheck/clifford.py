@@ -72,8 +72,12 @@ def conjugation(u: np.ndarray) -> tuple[int, ...]:
     images = {}
     for bits, pauli in _PAULIS.items():
         image = u @ pauli @ u.conj().T
-        images[bits] = next((image_bits, sign) for image_bits, other in _PAULIS.items()
-                            for sign in (0, 1) if np.allclose(image, (-1) ** sign * other))
+        # image is +-1 times one Pauli Q, so tr(Q image) is +-2 and the
+        # trace with either other Pauli is 0
+        image_bits, trace = max(((other_bits, np.vdot(other, image).real)
+                                 for other_bits, other in _PAULIS.items()),
+                                key=lambda item: abs(item[1]))
+        images[bits] = image_bits, int(trace < 0)
     (xx, xz), fx = images[1, 0]
     (zx, zz), fz = images[0, 1]
     return tuple(-bit for bit in (xx, xz, zx, zz, fx, fz, fx ^ fz ^ images[1, 1][1]))

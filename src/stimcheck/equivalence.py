@@ -4,27 +4,24 @@ exhausted.
 
 `verify` and `verify_exhaustive_local` share one block engine. Each verify
 compiles the specification and the realization once. Stimuli are drawn and
-prepared as blocks of B rows of a column-major (B, 2^n) array, rows
-innermost as `kernels.apply_2x2` takes them, with B = 1, 16, 256, ...
-capped by the remaining budget, so a 16-stimulus budget runs in two blocks
-of 1 and 15 rows: the first stimulus alone, since a faulty realization is
-most often caught there, and the rest in one round of kernel calls. A
-detection wastes the rest of its block: at most 14 rows in the default
-budget's second block, and in general a detection at stimulus k has
-prepared fewer than 16k rows. A block holds at most BLOCK_AMPS amplitudes,
-so from n = 16 on every block has one row. The report records the row
-count of each block. A global block is prepared by one call of
-`clifford.write_states`, which takes each row's stabilizer tableau from
-|0...0> through every sub-round in time polynomial in n, reduces it, and
-then writes the 2^n amplitudes of all rows in one pass, each row up to a
-global phase, which the fidelity does not see. The specification runs in
+prepared as blocks of B rows, (B, 2^n) arrays in the layout `kernels`
+defines, with B = 1, 16, 256, ... capped by the remaining budget, so a
+16-stimulus budget runs in two blocks of 1 and 15 rows: the first stimulus
+alone, since a faulty realization is most often caught there, and the rest
+in one round of kernel calls. A detection wastes the rest of its block: at
+most 14 rows in the default budget's second block, and in general a
+detection at stimulus k has prepared fewer than 16k rows. A block holds at
+most BLOCK_AMPS amplitudes, so from n = 16 on every block has one row. The
+report records the row count of each block. `Draws.prepare` prepares a
+block (a global one through `clifford.write_states`, each row up to a
+global phase, which the fidelity does not see). The specification runs in
 place on the prepared block and the realization on one copy in the same
 layout, so two blocks are live; both are freed before the next block is
-prepared. A row is a state, a strided (2^n,) array, so `fidelity`
-compares rows as they are. Only the row that detects an error gets its
-preparation circuit rebuilt, as the witness, from its recorded draws; the
-circuit is assembled from a per-n table of shared gates
-(`stimuli._gate_table`), not built gate by gate.
+prepared. `write_states` frees its own arrays before the copy, so a verify
+peaks at two blocks plus the kernel's scratch, whatever the scheme. A row
+is a state, a strided (2^n,) array, so `fidelity` compares rows as they
+are. Only the row that detects an error gets its preparation circuit
+rebuilt, as the witness, from its recorded draws (`Draws.prep`).
 
 `trace_fidelity` takes the same block step on classical stimuli, the
 consecutive computational basis states 0, 1, ..., 2^n - 1, and sums
@@ -54,6 +51,11 @@ from .stimuli import next_stimulus  # noqa: F401
 
 DEFAULT_MAX_STIMULI = 16
 DEFAULT_EPSILON = 1e-8
+# The least epsilon taken. Rounding alone leaves 1 - f of an equivalent pair
+# at up to about 1e-13 (9.3e-15 at n = 8, 1.0e-13 for a 16-qubit circuit of
+# about 1 000 kernel ops), so a smaller epsilon reports rounding as a
+# detection.
+MIN_EPSILON = 1e-10
 EXHAUSTIVE_LOCAL_LIMIT = 8
 # trace_fidelity costs 2^n simulations of each circuit: qft(10) against
 # itself takes about 0.8 s, qft(11) 3.5 s (one core of a 2-vCPU x86 host).
@@ -66,6 +68,14 @@ BLOCK_AMPS = 1 << 16
 # calls (1 and 15 rows) while a detection at the first stimulus, the common
 # case for a faulty realization, still costs one row.
 BLOCK_GROWTH = 16
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Raise a ValueError unless MIN_EPSILON <= epsilon < 0.5."""
+    if not MIN_EPSILON <= epsilon < 0.5:
+        raise ValueError(f"epsilon must lie in [{MIN_EPSILON:g}, 0.5), got {epsilon}; "
+                         "the simulator's rounding error alone can exceed an epsilon "
+                         f"below {MIN_EPSILON:g}")
 
 
 class Verdict(Enum):
@@ -84,8 +94,7 @@ class VerificationConfig:
         object.__setattr__(self, "max_stimuli", checked_int("max_stimuli", self.max_stimuli))
         if self.max_stimuli < 1:
             raise ValueError(f"max_stimuli must be positive, got {self.max_stimuli}")
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
+        check_epsilon(self.epsilon)
 
 
 @dataclass
@@ -186,6 +195,7 @@ def verify_exhaustive_local(
     spec: Circuit, impl: Circuit, epsilon: float = DEFAULT_EPSILON
 ) -> VerificationReport:
     """Enumerate all 6^n local stimuli without repetition."""
+    check_epsilon(epsilon)
     _check_compatible(spec, impl)
     n = spec.num_qubits
     if n > EXHAUSTIVE_LOCAL_LIMIT:

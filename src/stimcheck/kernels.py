@@ -15,9 +15,8 @@ into one axis, at most 2 (controls + 1) + 1 axes, so numpy's inner loops
 run over whole runs rather than over the one or two amplitudes a
 (B, 2, ..., 2) view of a row-major block would leave them. A state or
 block laid out otherwise raises a ValueError rather than updating a copy.
-Blocks amortize the per-call cost that dominates at small n; from n = 16 on
-the verifier runs one row per block, because wider blocks measured slower
-per stimulus there.
+Blocks amortize the per-call cost that dominates at small n; `equivalence`
+chooses their row counts.
 
 The anti-diagonal and dense updates write their temporaries into a pair of
 half-state scratch buffers instead of allocating per gate. Each thread has

@@ -5,32 +5,23 @@ scheme prepares per-qubit states from the six single-qubit stabilizer states
 {|0>,|1>,|+>,|->,|up>,|down>}; the global scheme layers random Clifford
 gates (H, S, CNOT) so that the stimulus ensemble approaches a state
 2-design as the layer count grows. Gate matrices come from `circuit.py`
-only: the six states are simulated from their preparation words, the 24
-single-qubit Cliffords are enumerated from `base_matrix` of H and S, and
-each one's tableau update is read off its matrix by
-`clifford.conjugation`.
+only: each of the six states is its preparation word's matrix applied to
+|0>, and the 24 single-qubit Cliffords are enumerated from `base_matrix` of
+H and S, each named by its tableau update, which `clifford.conjugation`
+reads off its matrix.
 
 `draw` records only the random choices behind a block of stimuli, one row
 per stimulus, in a `Draws`: classical bits, local state indices, or, for
 global, each qubit's Clifford word index and the CNOT pairs of every
-sub-round. It gives the same values, and leaves each generator in the same
-end state, as drawing each stimulus on its own, so a stimulus does not
-depend on the block it is drawn in. Classical and local rows come from one
-`integers` call each; the global rows drawn in turn from one source come
-from one `random` call, a fixed count of doubles per sub-round that give
-its words, its uniform CNOT matching and each CNOT's orientation, as
-`_draw_global` defines. `Draws.prepare` builds the prepared
-states directly as a (B, 2^n) block, stored column-major so that the rows
-are innermost, as the kernel takes it: one amplitude per row for classical,
-and an outer product of single-qubit states for local. A global row is a
-stabilizer state. One call of `clifford.write_states` takes each row's
-stabilizer tableau from |0...0> through its sub-rounds in polynomial time
-(each qubit's Clifford as one fixed update of its two tableau columns,
-then the CNOTs), reduces it, and then writes the amplitudes of every row
-of the block in one pass. A tableau fixes a state only up to a global
-phase, so a row of `Draws.prepare` equals the simulated preparation up to
-a global phase, which no fidelity |<.|.>|^2 sees; classical and local rows
-equal it exactly.
+sub-round, as `_draw_global` defines them. It gives the same values, and
+leaves each generator in the same end state, as drawing each stimulus on
+its own, so a stimulus does not depend on the block it is drawn in.
+`Draws.prepare` builds the prepared states directly as a (B, 2^n) block in
+the layout `kernels` defines: one amplitude per row for classical, an outer
+product of single-qubit states for local, and for global one call of
+`clifford.write_states`, which prepares each row from its stabilizer
+tableau up to a global phase, which no fidelity |<.|.>|^2 sees; classical
+and local rows equal the simulated preparation exactly.
 `Draws.prep` rebuilds one row's preparation circuit, which the verifier
 does only for a witness. It assembles the circuit from a per-n table of
 shared gates, built on the first witness at that qubit count, so a witness
@@ -49,7 +40,6 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, base_matrix
 from .clifford import conjugation, write_states
-from .simulator import simulate, zero_state
 
 SCHEME_KINDS = ("classical", "local", "global")
 # The most layers a global scheme takes: about 40 times the default of one
@@ -131,43 +121,6 @@ LOCAL_PREP_WORDS: tuple[tuple[GateKind, ...], ...] = (
 )
 
 
-# The six single-qubit states, one row each, in the order of LOCAL_PREP_WORDS.
-_LOCAL_STATES = np.array([simulate(Circuit(1, tuple(Gate(kind, 0) for kind in word)),
-                                   zero_state(1))
-                          for word in LOCAL_PREP_WORDS])
-
-
-def _canon(m: np.ndarray) -> tuple:
-    """The entries of `m` with its global phase divided out."""
-    flat = m.flatten()
-    pivot = next(v for v in flat if abs(v) > 1e-9)
-    return tuple(np.round(flat / (pivot / abs(pivot)), 8))
-
-
-def _single_qubit_cliffords() -> tuple[tuple[GateKind, ...], ...]:
-    """All 24 single-qubit Clifford operations (mod global phase) as shortest
-    words over {H, S}, in application order. Deterministic BFS enumeration."""
-    words: dict[tuple, tuple[GateKind, ...]] = {_canon(np.eye(2, dtype=complex)): ()}
-    frontier: list[tuple[tuple[GateKind, ...], np.ndarray]] = [((), np.eye(2, dtype=complex))]
-    while frontier:
-        next_frontier = []
-        for word, mat in frontier:
-            for kind in (GateKind.H, GateKind.S):
-                new_mat = base_matrix(kind) @ mat
-                key = _canon(new_mat)
-                if key not in words:
-                    new_word = word + (kind,)
-                    words[key] = new_word
-                    next_frontier.append((new_word, new_mat))
-        frontier = next_frontier
-    result = tuple(words.values())
-    assert len(result) == 24
-    return result
-
-
-CLIFFORD_1Q_WORDS = _single_qubit_cliffords()
-
-
 def _word_matrix(word: Sequence[GateKind]) -> np.ndarray:
     matrix = np.eye(2, dtype=complex)
     for kind in word:
@@ -175,8 +128,37 @@ def _word_matrix(word: Sequence[GateKind]) -> np.ndarray:
     return matrix
 
 
-# CLIFFORD_1Q_WORDS[w] as the tableau update that clifford.write_states takes
-_CONJUGATIONS = tuple(conjugation(_word_matrix(word)) for word in CLIFFORD_1Q_WORDS)
+# The six single-qubit states, one row each, in the order of LOCAL_PREP_WORDS:
+# each word's matrix applied to |0>.
+_LOCAL_STATES = np.array([_word_matrix(word)[:, 0] for word in LOCAL_PREP_WORDS])
+
+
+def _single_qubit_cliffords() -> dict[tuple[int, ...], tuple[GateKind, ...]]:
+    """All 24 single-qubit Clifford operations (mod global phase) as shortest
+    words over {H, S}, in application order, keyed by their tableau update
+    `clifford.conjugation`, which fixes a Clifford up to its global phase.
+    Deterministic BFS enumeration."""
+    identity = np.eye(2, dtype=complex)
+    words = {conjugation(identity): ()}
+    frontier: list[tuple[tuple[GateKind, ...], np.ndarray]] = [((), identity)]
+    while frontier:
+        next_frontier = []
+        for word, mat in frontier:
+            for kind in (GateKind.H, GateKind.S):
+                new_mat = base_matrix(kind) @ mat
+                key = conjugation(new_mat)
+                if key not in words:
+                    new_word = word + (kind,)
+                    words[key] = new_word
+                    next_frontier.append((new_word, new_mat))
+        frontier = next_frontier
+    assert len(words) == 24
+    return words
+
+
+# CLIFFORD_1Q_WORDS[w] and, as _CONJUGATIONS[w], its tableau update, which
+# clifford.write_states takes
+_CONJUGATIONS, CLIFFORD_1Q_WORDS = zip(*_single_qubit_cliffords().items())
 
 
 class _GateTable(NamedTuple):
@@ -232,6 +214,8 @@ def _draw_global(num_qubits: int, layers: int, gen: np.random.Generator, rows: i
     of `gen.random`: qubit q's word is floor(24 u[q]); the stable argsort
     of u[n:2n] is a uniform permutation, matched in consecutive pairs
     (a, b); and pair i's CNOT is (b, a) if u[2n + i] < 0.5, else (a, b).
+    The words and the matching are uniform up to a bias of about 1e-14,
+    from flooring a 53-bit double and from ties in the argsort.
     `gen.random` takes one whole 64-bit output per double and leaves the
     32-bit buffer alone, so one call for all rows gives the values, and the
     end state, of one call per sub-round."""
@@ -290,12 +274,11 @@ class Draws:
         return Stimulus(self.prep(row), self.scheme, seed_tag)
 
     def prepare(self) -> np.ndarray:
-        """The prepared states as a (rows, 2^n) block stored column-major,
-        so that the rows are innermost, as `kernels.apply_2x2` takes a
-        block; row b equals simulating `prep(b)` on |0...0>, for a global
-        row up to a global phase. Each global row is taken through its own
-        tableau, its sub-rounds in `prep`'s order, and then every row is
-        written in one pass."""
+        """The prepared states as a (rows, 2^n) block in the layout
+        `kernels` defines; row b equals simulating `prep(b)` on |0...0>,
+        for a global row up to a global phase. Each global row is taken
+        through its own tableau, its sub-rounds in `prep`'s order, and then
+        every row is written in one pass."""
         n, rows = self.num_qubits, len(self)
         if self.scheme.kind == "classical":
             block = np.zeros((rows, 1 << n), dtype=complex, order="F")
@@ -313,10 +296,10 @@ class Draws:
 
 def _product(states: np.ndarray) -> np.ndarray:
     """(rows, n, 2) single-qubit states -> (rows, 2^n) product states,
-    column-major, with qubit 0 the least significant bit of the amplitude
-    index. Built in place on the transpose, amplitude-major: after qubit q,
-    its first 2^(q+1) amplitudes hold the product state of qubits 0..q of
-    every row."""
+    column-major as `kernels` takes them, with qubit 0 the least significant
+    bit of the amplitude index. Built in place on the transpose,
+    amplitude-major: after qubit q, its first 2^(q+1) amplitudes hold the
+    product state of qubits 0..q of every row."""
     rows, n, _ = states.shape
     block = np.empty((rows, 1 << n), dtype=complex, order="F")
     columns = block.T
@@ -333,17 +316,17 @@ def draw(scheme: Scheme, num_qubits: int, sources: Sequence[RandomSource]) -> Dr
     source listed k times gives k consecutive stimuli of its stream, the
     ones `next_stimulus` would draw from it one at a time.
 
-    Each run of consecutive identical sources draws its global rows in one
-    `_draw_global` call: the same values and end state as drawing each
-    stimulus on its own."""
+    Each run of consecutive identical sources draws its rows in one call,
+    `integers` for classical and local and `_draw_global` for global: the
+    same values and end state as drawing each stimulus on its own."""
+    runs = [(source.gen, len(list(run))) for source, run in groupby(sources)]
     if scheme.kind == "global":
         layers = scheme.layers if scheme.layers is not None else num_qubits
-        runs = [_draw_global(num_qubits, layers, source.gen, len(list(run)))
-                for source, run in groupby(sources)]
-        return Draws(global_scheme(layers), *(np.concatenate(part) for part in zip(*runs)))
+        parts = [_draw_global(num_qubits, layers, gen, rows) for gen, rows in runs]
+        return Draws(global_scheme(layers), *(np.concatenate(part) for part in zip(*parts)))
     high = 2 if scheme.kind == "classical" else 6
-    return Draws(scheme, np.array([source.gen.integers(0, high, size=num_qubits)
-                                   for source in sources], dtype=np.intp))
+    choices = [gen.integers(0, high, size=(rows, num_qubits)) for gen, rows in runs]
+    return Draws(scheme, np.concatenate(choices).astype(np.intp, copy=False))
 
 
 def next_stimulus(

@@ -146,6 +146,12 @@ class TestVerify:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_epsilon_below_the_floor_exits_two(self, ghz_file, capsys):
+        assert main(["verify", ghz_file, ghz_file, "--epsilon", "1e-11"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error: epsilon must lie in [1e-10, 0.5), got 1e-11; the simulator's rounding" in err
+        assert "Traceback" not in err
+
 
 class TestBench:
     ARGS = ["--error-seeds", "2", "--stimuli-seeds", "1", "--max-stimuli", "4",

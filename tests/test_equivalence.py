@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from stimcheck import kernels, oracle
+from stimcheck.bench import BenchmarkConfig
 from stimcheck.circuit import Circuit, Gate, GateKind
 from stimcheck.equivalence import (
     BLOCK_AMPS,
     EXACT_LIMIT,
+    MIN_EPSILON,
     Verdict,
     VerificationConfig,
     trace_fidelity,
@@ -126,6 +128,31 @@ class TestVerificationConfig:
             VerificationConfig(LOCAL, epsilon=0.0)
         with pytest.raises(ValueError):
             VerificationConfig(LOCAL, epsilon=0.7)
+
+
+ENTRY_POINTS = {
+    "VerificationConfig": lambda epsilon: VerificationConfig(LOCAL, epsilon=epsilon),
+    "verify_exhaustive_local": lambda epsilon: verify_exhaustive_local(qft(3), qft(3), epsilon),
+    "BenchmarkConfig": lambda epsilon: BenchmarkConfig(epsilon=epsilon),
+}
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, 0.0, math.nan, 1e-11, 0.7])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_rejects_an_epsilon_outside_its_range(entry, epsilon):
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[1e-10, 0\.5\).*rounding"):
+        ENTRY_POINTS[entry](epsilon)
+
+
+def test_an_equivalent_rewrite_passes_at_the_least_epsilon():
+    # at epsilon = 1e-15 every scheme flagged this pair at its first stimulus
+    spec = qft(6)
+    impl = spec.prepended(Gate(GateKind.H, 1), Gate(GateKind.H, 1))
+    for scheme in (CLASSICAL, LOCAL, global_scheme()):
+        report = verify(spec, impl, VerificationConfig(scheme, epsilon=MIN_EPSILON))
+        assert report.verdict is Verdict.BUDGET_EXHAUSTED, scheme
+    report = verify_exhaustive_local(qft(3), qft(3), MIN_EPSILON)
+    assert report.verdict is Verdict.BUDGET_EXHAUSTED
 
 
 class TestExhaustiveLocal:

@@ -344,17 +344,18 @@ def test_commented_out_register_is_not_read():
 
 def test_match_hands_over_once_at_the_first_declined_statement():
     text = HEADER + "h q[0];\ncx q[0],q[1];\nrz(pi/2) q[2];\nx q[1];\nu1(0.5) q[0];\n"
-    offsets = []
+    sources = []
 
     class Spy(qasm._Parser):
-        def __init__(self, source, offset=0):
-            offsets.append(offset)
-            super().__init__(source, offset)
+        def __init__(self, source):
+            sources.append(source)
+            super().__init__(source)
 
     expected = outcome(reference, text)
     with mock.patch.object(qasm, "_Parser", Spy):
         assert outcome(parse_qasm, text) == expected
-    assert offsets == [text.index("rz(pi/2)")]
+    # one token parser, on the whole source, not on the part after the match
+    assert sources == [text]
 
 
 class _NoHandoff:
